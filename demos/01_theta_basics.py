@@ -28,7 +28,7 @@ print("edges:", sorted(g.edges))
 print("\nBFS distances from v1:", bfs_distances(g, 1))
 
 D = all_pairs(g)
-print("graph diameter:", int(D.d.max()))
+print("graph diameter:", max(map(max, D.d)))
 
 # No pair of landmarks can tell all 13 vertices apart.
 failures = sum(1 for W in itertools.combinations(range(1, 14), 2) if not is_resolving(g, W))
@@ -44,4 +44,4 @@ for v in range(1, g.n + 1):
 
 result = metric_dimension_oracle(g)
 print(f"\noracle: dimension {result.dimension}, witness {result.witness}, "
-      f"all sizes <= {result.exhausted_below} exhausted")
+      f"every smaller size exhausted")

@@ -31,6 +31,16 @@ def _vertex_set(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _oracle_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"oracle cap must be at least 1, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thetadim",
@@ -51,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "dim":
             cmd.add_argument("--oracle", action="store_true",
                              help="also run the exhaustive oracle")
-            cmd.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+            cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
         if name == "check":
             cmd.add_argument("--set", dest="vertex_set", type=_vertex_set, required=True,
                              metavar="V1,V2,...", help="landmark candidates")
@@ -60,11 +70,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-n", type=int, required=True)
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
     cmd.add_argument("--out", help="write the report here instead of stdout")
-    cmd.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
 
     cmd = sub.add_parser("landmarks", help="assign landmark codes to a network file")
     cmd.add_argument("file", help="network description file")
-    cmd.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
     return parser
 
 
@@ -114,10 +124,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landmarks(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return 2
     spec = parse_network(text)
     table = assign_landmarks(spec, oracle_cap=args.oracle_cap)

@@ -165,6 +165,16 @@ def _case_basis(tag: str, p: int, q: int, r: int) -> tuple[int, ...]:
     raise ValueError(f"unknown case tag {tag!r}")
 
 
+def _case_and_landmarks(p: int, q: int, r: int) -> tuple[TheoremCase, tuple[int, ...]]:
+    """Governing case and its formula landmarks, from a single dispatch."""
+    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
+    basis = _case_basis(tag, pp, qq, rr)
+    if swapped:
+        inverse = {w: v for v, w in swap_isomorphism(p, q, r).items()}
+        basis = tuple(inverse[w] for w in basis)
+    return TheoremCase(tag=tag, swapped=swapped), basis
+
+
 def case_landmarks(p: int, q: int, r: int) -> tuple[int, ...]:
     """Formula landmarks in the caller's labeling, in coordinate order.
 
@@ -172,22 +182,13 @@ def case_landmarks(p: int, q: int, r: int) -> tuple[int, ...]:
     vectors computed against this list are comparable with
     :func:`formula_representation`.
     """
-    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    basis = _case_basis(tag, pp, qq, rr)
-    if not swapped:
-        return basis
-    inverse = {w: v for v, w in swap_isomorphism(p, q, r).items()}
-    return tuple(inverse[w] for w in basis)
+    return _case_and_landmarks(p, q, r)[1]
 
 
 def closed_form_basis(p: int, q: int, r: int) -> ClosedFormResult:
     """Closed-form metric basis for ``C_{p,q,r}`` in the caller's labeling."""
-    landmarks = case_landmarks(p, q, r)
-    return ClosedFormResult(
-        case=dispatch_case(p, q, r),
-        basis=tuple(sorted(landmarks)),
-        dimension=len(landmarks),
-    )
+    case, landmarks = _case_and_landmarks(p, q, r)
+    return ClosedFormResult(case=case, basis=tuple(sorted(landmarks)), dimension=len(landmarks))
 
 
 def dimension_formula(p: int, q: int, r: int) -> int:
@@ -385,6 +386,28 @@ def _check_case(p: int, q: int, r: int, case: TheoremCase) -> tuple[str, tuple[i
     return dispatched
 
 
+def _matching_cells(
+    p: int, q: int, r: int, case: TheoremCase, v: int
+) -> tuple[str, list[tuple[int, tuple[int, ...]]]]:
+    """Case tag, and ``(1-based cell index, claimed vector)`` for every
+    partition cell whose range contains vertex ``v``.
+
+    Raises ``TableLookupError`` ("uncovered") when no cell contains ``v``.
+    """
+    tag, (pp, qq, rr), swapped = _check_case(p, q, r, case)
+    if not 1 <= v <= p + q + r:
+        raise ValueError(f"vertex {v} outside 1..{p + q + r}")
+    a = swap_isomorphism(p, q, r)[v] if swapped else v
+    cells = [
+        (index, fn(a))
+        for index, (lo, hi, fn) in enumerate(_case_table(tag, pp, qq, rr), start=1)
+        if lo <= a <= hi
+    ]
+    if not cells:
+        raise TableLookupError("uncovered", v, tag)
+    return tag, cells
+
+
 def partition_index(p: int, q: int, r: int, case: TheoremCase, v: int) -> int:
     """1-based index of the unique partition cell containing vertex ``v``.
 
@@ -392,16 +415,10 @@ def partition_index(p: int, q: int, r: int, case: TheoremCase, v: int) -> int:
     uncovered or puts it in more than one cell; both defects are recorded
     by the sweep rather than silently patched here.
     """
-    tag, (pp, qq, rr), swapped = _check_case(p, q, r, case)
-    if not 1 <= v <= p + q + r:
-        raise ValueError(f"vertex {v} outside 1..{p + q + r}")
-    a = swap_isomorphism(p, q, r)[v] if swapped else v
-    hits = [l for l, (lo, hi, _) in enumerate(_case_table(tag, pp, qq, rr), start=1) if lo <= a <= hi]
-    if not hits:
-        raise TableLookupError("uncovered", v, tag)
-    if len(hits) > 1:
+    tag, cells = _matching_cells(p, q, r, case, v)
+    if len(cells) > 1:
         raise TableLookupError("ambiguous", v, tag)
-    return hits[0]
+    return cells[0][0]
 
 
 def formula_representation(p: int, q: int, r: int, case: TheoremCase, v: int) -> tuple[int, ...]:
@@ -411,13 +428,8 @@ def formula_representation(p: int, q: int, r: int, case: TheoremCase, v: int) ->
     or missing claims raise ``TableLookupError``.  Compare the result with
     BFS distances to :func:`case_landmarks` — BFS is authoritative.
     """
-    tag, (pp, qq, rr), swapped = _check_case(p, q, r, case)
-    if not 1 <= v <= p + q + r:
-        raise ValueError(f"vertex {v} outside 1..{p + q + r}")
-    a = swap_isomorphism(p, q, r)[v] if swapped else v
-    claims = {fn(a) for lo, hi, fn in _case_table(tag, pp, qq, rr) if lo <= a <= hi}
-    if not claims:
-        raise TableLookupError("uncovered", v, tag)
+    tag, cells = _matching_cells(p, q, r, case, v)
+    claims = {claim for _, claim in cells}
     if len(claims) > 1:
         raise TableLookupError("ambiguous", v, tag)
     return claims.pop()

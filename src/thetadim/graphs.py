@@ -11,8 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 #: Sentinel distance between vertices in different components.  Kept as a
 #: dedicated constant (never a "large enough" magic number) so disconnected
 #: inputs fail loudly instead of producing plausible-looking distances.
@@ -41,9 +39,7 @@ class Graph:
 
     @cached_property
     def _distance_matrix(self) -> DistanceMatrix:
-        rows = [bfs_distances(self, u) for u in range(1, self.n + 1)]
-        d = np.array(rows, dtype=np.int64).reshape(self.n, self.n)
-        d.setflags(write=False)
+        d = tuple(tuple(bfs_distances(self, u)) for u in range(1, self.n + 1))
         return DistanceMatrix(n=self.n, d=d)
 
     def degree(self, v: int) -> int:
@@ -58,17 +54,17 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs hop counts; entry ``d[u-1, v-1]`` is the u-v distance.
+    """All-pairs hop counts; entry ``d[u-1][v-1]`` is the u-v distance.
 
-    The backing array is read-only.  ``UNREACHABLE`` marks vertex pairs in
-    different components.
+    Rows are tuples, so the matrix cannot be modified after construction.
+    ``UNREACHABLE`` marks vertex pairs in different components.
     """
 
     n: int
-    d: np.ndarray
+    d: tuple[tuple[int, ...], ...]
 
     def dist(self, u: int, v: int) -> int:
-        return int(self.d[u - 1, v - 1])
+        return self.d[u - 1][v - 1]
 
 
 def new_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:

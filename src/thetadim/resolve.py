@@ -19,15 +19,10 @@ DEFAULT_ORACLE_CAP = 24
 
 @dataclass(frozen=True)
 class BasisResult:
-    """Exact metric dimension with one witness minimum resolving set.
-
-    ``exhausted_below`` is the largest k for which every k-subset was
-    enumerated and rejected (always ``dimension - 1``).
-    """
+    """Exact metric dimension with one witness minimum resolving set."""
 
     dimension: int
     witness: tuple[int, ...]
-    exhausted_below: int
 
 
 def representation(D: DistanceMatrix, v: int, landmarks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
@@ -42,7 +37,7 @@ def representation(D: DistanceMatrix, v: int, landmarks: list[int] | tuple[int, 
     return tuple(D.dist(v, w) for w in landmarks)
 
 
-def _first_collision(rows: list[list[int]], landmarks: tuple[int, ...]) -> tuple[int, int] | None:
+def _first_collision(rows: tuple[tuple[int, ...], ...], landmarks: tuple[int, ...]) -> tuple[int, int] | None:
     """Lexicographically first vertex pair sharing a representation, if any."""
     n = len(rows)
     keyed = sorted((tuple(rows[v - 1][w - 1] for w in landmarks), v) for v in range(1, n + 1))
@@ -66,11 +61,10 @@ def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[i
         raise ValueError("landmark set is empty")
     if len(set(W)) != len(W):
         raise ValueError(f"duplicate landmark in {W}")
-    D = all_pairs(g)
     for w in W:
         if not 1 <= w <= g.n:
             raise ValueError(f"landmark {w} outside 1..{g.n}")
-    return _first_collision(D.d.tolist(), W)
+    return _first_collision(all_pairs(g).d, W)
 
 
 def is_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bool:
@@ -104,12 +98,12 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
         raise ValueError(f"graph order {n} exceeds the oracle cap {cap}")
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
-    rows = all_pairs(g).d.tolist()
+    rows = all_pairs(g).d
     vertices = range(1, n + 1)
     for k in range(1, n + 1):
         for cand in itertools.combinations(vertices, k):
             if _first_collision(rows, cand) is None:
-                return BasisResult(dimension=k, witness=cand, exhausted_below=k - 1)
+                return BasisResult(dimension=k, witness=cand)
     raise AssertionError("unreachable: the full vertex set always resolves")
 
 

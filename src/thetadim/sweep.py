@@ -19,7 +19,7 @@ import io
 import json
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .closed_form import (
     TableLookupError,
@@ -196,31 +196,40 @@ def _describe_filters(wanted: frozenset[str] | None, param_filter) -> str | None
     return " ".join(parts) or None
 
 
-def _mismatch_dict(m: TableMismatch) -> dict:
-    return {
-        "vertex": m.vertex,
-        "formula": None if m.formula is None else list(m.formula),
-        "bfs": list(m.bfs),
-        "note": m.note,
-    }
+_PARAMS = ("p", "q", "r")
+
+#: Serialized record fields, in order: every ``SweepRecord`` field that takes
+#: part in equality (so not ``elapsed``), with ``params`` expanded to p, q, r.
+_RECORD_FIELDS = tuple(
+    name
+    for f in fields(SweepRecord)
+    if f.compare
+    for name in (_PARAMS if f.name == "params" else (f.name,))
+)
+
+#: CSV columns: the record fields, with a mismatch count before the details.
+_CSV_COLUMNS = tuple(
+    column
+    for name in _RECORD_FIELDS
+    for column in (("table_mismatch_count", name) if name == "table_mismatches" else (name,))
+)
 
 
-def _record_dict(rec: SweepRecord) -> dict:
-    p, q, r = rec.params
-    return {
-        "p": p,
-        "q": q,
-        "r": r,
-        "n": rec.n,
-        "case": rec.case,
-        "swapped": rec.swapped,
-        "formula_dim": rec.formula_dim,
-        "oracle_dim": rec.oracle_dim,
-        "basis": list(rec.basis),
-        "basis_ok": rec.basis_ok,
-        "basis_minimal": rec.basis_minimal,
-        "table_mismatches": [_mismatch_dict(m) for m in rec.table_mismatches],
-    }
+def _field(rec: SweepRecord, name: str):
+    return rec.params[_PARAMS.index(name)] if name in _PARAMS else getattr(rec, name)
+
+
+def _csv_cell(rec: SweepRecord, column: str):
+    if column == "basis":
+        return ",".join(map(str, rec.basis))
+    if column == "table_mismatch_count":
+        return len(rec.table_mismatches)
+    if column == "table_mismatches":
+        return "; ".join(
+            f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
+            for m in rec.table_mismatches
+        )
+    return _field(rec, column)
 
 
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
@@ -230,41 +239,29 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
             "schema": SCHEMA,
             "max_n": report.max_n,
             "filters": report.filters,
-            "summary": {
-                "records": report.summary.records,
-                "agreements": report.summary.agreements,
-                "dimension_mismatches": report.summary.dimension_mismatches,
-                "basis_failures": report.summary.basis_failures,
-                "table_mismatch_entries": report.summary.table_mismatch_entries,
-            },
-            "records": [_record_dict(rec) for rec in report.records],
+            "summary": report.summary,
+            "records": [{name: _field(rec, name) for name in _RECORD_FIELDS} for rec in report.records],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        # The summary and the table mismatches serialize as their dataclass
+        # fields in declaration order; tuples serialize as JSON arrays.
+        return json.dumps(payload, indent=2, default=asdict) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "p", "q", "r", "n", "case", "swapped", "formula_dim", "oracle_dim",
-                "basis", "basis_ok", "basis_minimal", "table_mismatch_count",
-                "table_mismatches",
-            ]
-        )
-        for rec in report.records:
-            p, q, r = rec.params
-            details = "; ".join(
-                f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
-                for m in rec.table_mismatches
-            )
-            writer.writerow(
-                [
-                    p, q, r, rec.n, rec.case, rec.swapped, rec.formula_dim,
-                    rec.oracle_dim, ",".join(map(str, rec.basis)), rec.basis_ok,
-                    rec.basis_minimal, len(rec.table_mismatches), details,
-                ]
-            )
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows([_csv_cell(rec, column) for column in _CSV_COLUMNS] for rec in report.records)
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _from_json(cls, obj: dict, **converted):
+    """Rebuild dataclass ``cls`` from its JSON object.
+
+    Reads every field that takes part in equality, turning JSON arrays back
+    into tuples; fields given in ``converted`` are taken as they are.
+    """
+    values = {f.name: obj[f.name] for f in fields(cls) if f.compare and f.name not in converted}
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}, **converted)
 
 
 def parse_report(text: str) -> SweepReport:
@@ -272,41 +269,18 @@ def parse_report(text: str) -> SweepReport:
     payload = json.loads(text)
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected report schema {payload.get('schema')!r}")
-    records = []
-    for rec in payload["records"]:
-        mismatches = tuple(
-            TableMismatch(
-                vertex=m["vertex"],
-                formula=None if m["formula"] is None else tuple(m["formula"]),
-                bfs=tuple(m["bfs"]),
-                note=m["note"],
-            )
-            for m in rec["table_mismatches"]
+    records = tuple(
+        _from_json(
+            SweepRecord,
+            rec,
+            params=tuple(rec[name] for name in _PARAMS),
+            table_mismatches=tuple(_from_json(TableMismatch, m) for m in rec["table_mismatches"]),
         )
-        records.append(
-            SweepRecord(
-                params=(rec["p"], rec["q"], rec["r"]),
-                n=rec["n"],
-                case=rec["case"],
-                swapped=rec["swapped"],
-                formula_dim=rec["formula_dim"],
-                oracle_dim=rec["oracle_dim"],
-                basis=tuple(rec["basis"]),
-                basis_ok=rec["basis_ok"],
-                basis_minimal=rec["basis_minimal"],
-                table_mismatches=mismatches,
-            )
-        )
-    summary = payload["summary"]
+        for rec in payload["records"]
+    )
     return SweepReport(
         max_n=payload["max_n"],
         filters=payload["filters"],
-        records=tuple(records),
-        summary=SweepSummary(
-            records=summary["records"],
-            agreements=summary["agreements"],
-            dimension_mismatches=summary["dimension_mismatches"],
-            basis_failures=summary["basis_failures"],
-            table_mismatch_entries=summary["table_mismatch_entries"],
-        ),
+        records=records,
+        summary=_from_json(SweepSummary, payload["summary"]),
     )

@@ -1,6 +1,11 @@
 """Command-line surface: golden output lines and exit codes."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +126,32 @@ def test_landmarks_disconnected_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "landmarks", str(net))
     assert code == 1
     assert "disconnected" in err
+
+
+def test_landmarks_non_utf8_file_exit_two(tmp_path, capsys):
+    net = tmp_path / "latin1.net"
+    net.write_bytes(b'node "F\xff"\n')
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_cap_below_one_is_usage_error(tmp_path, capsys, cap):
+    # K_4 is no theta graph, so landmarks would need the oracle.
+    net = tmp_path / "k4.net"
+    net.write_text(
+        "".join(f"node {v}\n" for v in "abcd")
+        + "".join(f"link {a} {b}\n" for a, b in itertools.combinations("abcd", 2))
+    )
+    for argv in (["dim", "3", "7", "3", "--oracle"], ["sweep", "--max-n", "5"], ["landmarks", str(net)]):
+        code, out, err = run(capsys, *argv, "--oracle-cap", cap)
+        assert (code, out) == (2, ""), argv
+        assert "oracle cap must be at least 1" in err
+
+
+def test_cli_start_up_does_not_import_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    check = "import thetadim.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,5 @@
 """Graph construction and BFS distance behaviour."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -81,7 +80,7 @@ def test_bfs_source_out_of_range():
 
 def test_all_pairs_two_vertices():
     D = all_pairs(new_graph(2, [(1, 2)]))
-    assert D.d.tolist() == [[0, 1], [1, 0]]
+    assert D.d == ((0, 1), (1, 0))
 
 
 def test_all_pairs_disconnected_sentinel():
@@ -93,15 +92,17 @@ def test_all_pairs_disconnected_sentinel():
 def test_all_pairs_against_independent_reimplementation():
     g = build_c(3, 7, 3)
     D = all_pairs(g)
-    assert D.d.tolist() == floyd_warshall(g)
-    assert int(D.d.max()) == 5  # graph diameter
+    assert [list(row) for row in D.d] == floyd_warshall(g)
+    assert max(map(max, D.d)) == 5  # graph diameter
 
 
 def test_matrix_is_read_only():
     D = all_pairs(new_graph(2, [(1, 2)]))
-    assert not D.d.flags.writeable
-    with pytest.raises(ValueError):
-        D.d[0, 0] = 7
+    assert isinstance(D.d, tuple) and all(isinstance(row, tuple) for row in D.d)
+    with pytest.raises(TypeError):
+        D.d[0][0] = 7
+    with pytest.raises(TypeError):
+        D.d[0] = (7, 7)
 
 
 @given(small_graphs())
@@ -109,8 +110,8 @@ def test_matrix_is_read_only():
 def test_distance_matrix_axioms(g):
     D = all_pairs(g)
     d = D.d
-    assert (np.diag(d) == 0).all()
-    assert (d == d.T).all()
+    assert all(d[v][v] == 0 for v in range(g.n))
+    assert all(d[u][v] == d[v][u] for u in range(g.n) for v in range(g.n))
     # d[u][v] == 1 exactly on edges
     for u in range(1, g.n + 1):
         for v in range(u + 1, g.n + 1):
@@ -119,8 +120,8 @@ def test_distance_matrix_axioms(g):
     for u in range(g.n):
         for v in range(g.n):
             for w in range(g.n):
-                if UNREACHABLE not in (d[u, v], d[u, w], d[w, v]):
-                    assert d[u, v] <= d[u, w] + d[w, v]
+                if UNREACHABLE not in (d[u][v], d[u][w], d[w][v]):
+                    assert d[u][v] <= d[u][w] + d[w][v]
 
 
 @given(small_graphs())
@@ -146,6 +147,7 @@ def test_adding_edge_never_increases_finite_distances(g):
     before = all_pairs(g).d
     extra = new_graph(g.n, list(g.edges) + [non_edges[0]])
     after = all_pairs(extra).d
-    finite = before != UNREACHABLE
-    assert (after[finite] <= before[finite]).all()
-    assert (after[finite] != UNREACHABLE).all()
+    for row_before, row_after in zip(before, after):
+        for was, now in zip(row_before, row_after):
+            if was != UNREACHABLE:
+                assert now != UNREACHABLE and now <= was

@@ -110,7 +110,6 @@ def test_oracle_on_paths():
         result = metric_dimension_oracle(path(n))
         assert result.dimension == 1
         assert result.witness == (1,)
-        assert result.exhausted_below == 0
 
 
 def test_oracle_on_five_cycle():
@@ -121,7 +120,6 @@ def test_oracle_on_equal_arms_graph():
     result = metric_dimension_oracle(build_c(3, 7, 3))
     assert result.dimension == 3
     assert result.witness == (1, 2, 6)
-    assert result.exhausted_below == 2
 
 
 def test_oracle_on_complete_bipartite_five():
@@ -194,7 +192,6 @@ def test_oracle_soundness_on_small_theta_graphs():
         result = metric_dimension_oracle(g)
         assert is_resolving(g, result.witness)
         assert is_minimal_resolving(g, result.witness)
-        assert result.exhausted_below == result.dimension - 1
         for k in range(1, result.dimension):
             assert not any(
                 is_resolving(g, cand)

@@ -1,6 +1,7 @@
 """Sweep harness: enumeration, determinism, reports, and self-consistency."""
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -109,6 +110,20 @@ def test_csv_shape():
     first = report.records[0]
     assert rows[1][0] == str(first.params[0])
     assert rows[1][4] == first.case
+
+
+#: SHA-256 of the n <= 12 reports as the original serializer wrote them; a
+#: change to the serializers must leave these bytes as they are.
+REPORT_SHA256_N12 = {
+    "json": "a5582937751d46dd0dccf1b852bd4b232899b45e55d75d29af3ab4bd8a0e8a4c",
+    "csv": "f66bc1d112f135f1ee6375b592e66dd101f082d38400cf5cfba71b5f5dd33820",
+}
+
+
+def test_report_bytes_are_pinned():
+    report = sweep(12)
+    for fmt, digest in REPORT_SHA256_N12.items():
+        assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_unknown_format_rejected():

@@ -117,8 +117,8 @@ def test_swapped_builds_share_degree_and_distance_profiles():
         assert sorted(a.degree(v) for v in range(1, a.n + 1)) == sorted(
             b.degree(v) for v in range(1, b.n + 1)
         )
-        assert sorted(all_pairs(a).d.flatten().tolist()) == sorted(
-            all_pairs(b).d.flatten().tolist()
+        assert sorted(x for row in all_pairs(a).d for x in row) == sorted(
+            x for row in all_pairs(b).d for x in row
         )
 
 
