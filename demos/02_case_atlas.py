@@ -10,7 +10,6 @@ from thetadim import (
     build_c,
     closed_form_basis,
     dimension_by_path_lengths,
-    dimension_formula,
     is_resolving,
     metric_dimension_oracle,
     to_theta_lengths,
@@ -40,7 +39,7 @@ for p, q, r in ATLAS:
     g = build_c(p, q, r)
     oracle = metric_dimension_oracle(g)
     assert is_resolving(g, result.basis)
-    assert oracle.dimension == result.dimension == dimension_formula(p, q, r)
+    assert oracle.dimension == result.dimension
     assert dimension_by_path_lengths(p, q, r) == result.dimension
     basis = "{" + ",".join(map(str, result.basis)) + "}"
     lengths = "/".join(map(str, to_theta_lengths(p, q, r)))

@@ -8,17 +8,12 @@ assigns landmark codes to named networks.
 
 from .closed_form import (
     CASE_TAGS,
-    DIMENSION_THREE_TAGS,
     ClosedFormResult,
-    TableLookupError,
     TheoremCase,
-    case_landmarks,
     closed_form_basis,
     dimension_by_path_lengths,
-    dimension_formula,
     dispatch_case,
     formula_representation,
-    partition_index,
 )
 from .graphs import (
     UNREACHABLE,
@@ -43,7 +38,6 @@ from .resolve import (
     BasisResult,
     is_minimal_resolving,
     is_resolving,
-    known_dimension_special,
     metric_dimension_oracle,
     representation,
     unresolved_pair,
@@ -77,7 +71,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CASE_TAGS",
     "DEFAULT_ORACLE_CAP",
-    "DIMENSION_THREE_TAGS",
     "UNREACHABLE",
     "BasisResult",
     "ClosedFormResult",
@@ -90,7 +83,6 @@ __all__ = [
     "SweepRecord",
     "SweepReport",
     "SweepSummary",
-    "TableLookupError",
     "TableMismatch",
     "TheoremCase",
     "ThetaParams",
@@ -99,12 +91,10 @@ __all__ = [
     "assign_landmarks",
     "bfs_distances",
     "build_c",
-    "case_landmarks",
     "check_triple",
     "closed_form_basis",
     "detect_theta",
     "dimension_by_path_lengths",
-    "dimension_formula",
     "dispatch_case",
     "emit_report",
     "field_network_text",
@@ -112,13 +102,11 @@ __all__ = [
     "formula_representation",
     "is_minimal_resolving",
     "is_resolving",
-    "known_dimension_special",
     "metric_dimension_oracle",
     "network_graph",
     "new_graph",
     "parse_network",
     "parse_report",
-    "partition_index",
     "recompute_summary",
     "representation",
     "swap_isomorphism",

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on domain errors (invalid parameters, a
 non-resolving set reported by ``check``, disconnected or oversized
-networks), 2 on usage and parse errors.  All structured output is
-line-oriented and stable, so it can be pinned by golden-file tests.
+networks, a graph above the size limit), 2 on usage and parse errors.
+All structured output is line-oriented and stable, so it can be pinned
+by golden-file tests.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .closed_form import closed_form_basis, dimension_formula, dispatch_case
+from .closed_form import closed_form_basis
+from .graphs import Graph
 from .network import NetworkParseError, assign_landmarks, parse_network
 from .resolve import (
     DEFAULT_ORACLE_CAP,
@@ -22,6 +24,19 @@ from .resolve import (
 )
 from .sweep import emit_report, sweep
 from .theta import build_c
+
+#: Largest order ``build`` and ``check`` accept; ``check`` holds the full
+#: distance matrix, which grows as the square of the order.
+MAX_ORDER = 2000
+
+
+def _bounded_graph(args, limit: int, what: str) -> Graph:
+    """``C_{p,q,r}`` of the arguments, refused before it is built when its
+    order exceeds ``limit``."""
+    n = args.p + args.q + args.r
+    if n > limit:
+        raise ValueError(f"graph order {n} exceeds the {what} {limit}")
+    return build_c(args.p, args.q, args.r)
 
 
 def _vertex_set(text: str) -> tuple[int, ...]:
@@ -79,18 +94,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args) -> int:
-    g = build_c(args.p, args.q, args.r)
+    g = _bounded_graph(args, MAX_ORDER, "size limit")
     for u, v in sorted(g.edges):
         print(u, v)
     return 0
 
 
 def _cmd_dim(args) -> int:
-    case = dispatch_case(args.p, args.q, args.r)
-    print(dimension_formula(args.p, args.q, args.r), case.tag)
+    result = closed_form_basis(args.p, args.q, args.r)
+    print(result.dimension, result.case.tag)
     if args.oracle:
-        result = metric_dimension_oracle(build_c(args.p, args.q, args.r), cap=args.oracle_cap)
-        print("oracle", result.dimension)
+        g = _bounded_graph(args, args.oracle_cap, "oracle cap")
+        print("oracle", metric_dimension_oracle(g, cap=args.oracle_cap).dimension)
     return 0
 
 
@@ -101,7 +116,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = build_c(args.p, args.q, args.r)
+    g = _bounded_graph(args, MAX_ORDER, "size limit")
     pair = unresolved_pair(g, args.vertex_set)
     if pair is not None:
         print("unresolved", pair[0], pair[1])

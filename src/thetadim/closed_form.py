@@ -12,8 +12,8 @@ outer swap, since ``C_{p,q,r}`` and ``C_{r,q,p}`` are isomorphic):
 
 Each family splits into parts on q - r, giving 15 tags total.  A part
 carries a landmark-set formula W, a partition of the vertices into index
-ranges, and per-range distance-vector formulas.  The dimension is 3 exactly
-for tags T2-P2 and T4-P1; every other part has dimension 2.
+ranges, and per-range distance-vector formulas.  The dimension is the
+size of W: 3 for tags T2-P2 and T4-P1, 2 for every other part.
 
 The tables are transcribed literally and treated as claims: BFS distances
 are ground truth, and the verification sweep records any divergence as a
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .theta import InvalidParamsError, _require_valid, swap_isomorphism
+from .theta import _require_valid, _swap
 
 CASE_TAGS: tuple[str, ...] = (
     "ZeroPath-P1",
@@ -45,9 +45,6 @@ CASE_TAGS: tuple[str, ...] = (
     "T4-P3b",
 )
 
-#: Tags whose closed-form basis has three landmarks; all others have two.
-DIMENSION_THREE_TAGS = frozenset({"T2-P2", "T4-P1"})
-
 
 @dataclass(frozen=True)
 class TheoremCase:
@@ -60,25 +57,23 @@ class TheoremCase:
 
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """Formula-produced basis in the caller's labeling, with its case."""
+    """Formula landmarks of a triple, with its case.
 
-    case: TheoremCase
-    basis: tuple[int, ...]
-    dimension: int
-
-
-class TableLookupError(LookupError):
-    """A vertex falls outside the case table, or inside conflicting cells.
-
-    Both situations are table defects surfaced by the sweep, not faults of
-    the caller; ``reason`` is ``"uncovered"`` or ``"ambiguous"``.
+    ``landmarks`` are in the caller's labeling and in coordinate order, the
+    order the case tables use, so distance vectors computed against them are
+    comparable with :func:`formula_representation`.
     """
 
-    def __init__(self, reason: str, vertex: int, tag: str):
-        super().__init__(f"vertex {vertex} is {reason} in the {tag} table")
-        self.reason = reason
-        self.vertex = vertex
-        self.tag = tag
+    case: TheoremCase
+    landmarks: tuple[int, ...]
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        return tuple(sorted(self.landmarks))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.landmarks)
 
 
 def _fl(a: int) -> int:
@@ -165,36 +160,14 @@ def _case_basis(tag: str, p: int, q: int, r: int) -> tuple[int, ...]:
     raise ValueError(f"unknown case tag {tag!r}")
 
 
-def _case_and_landmarks(p: int, q: int, r: int) -> tuple[TheoremCase, tuple[int, ...]]:
-    """Governing case and its formula landmarks, from a single dispatch."""
-    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    basis = _case_basis(tag, pp, qq, rr)
-    if swapped:
-        inverse = {w: v for v, w in swap_isomorphism(p, q, r).items()}
-        basis = tuple(inverse[w] for w in basis)
-    return TheoremCase(tag=tag, swapped=swapped), basis
-
-
-def case_landmarks(p: int, q: int, r: int) -> tuple[int, ...]:
-    """Formula landmarks in the caller's labeling, in coordinate order.
-
-    The coordinate order is the order the case tables use, so distance
-    vectors computed against this list are comparable with
-    :func:`formula_representation`.
-    """
-    return _case_and_landmarks(p, q, r)[1]
-
-
 def closed_form_basis(p: int, q: int, r: int) -> ClosedFormResult:
     """Closed-form metric basis for ``C_{p,q,r}`` in the caller's labeling."""
-    case, landmarks = _case_and_landmarks(p, q, r)
-    return ClosedFormResult(case=case, basis=tuple(sorted(landmarks)), dimension=len(landmarks))
-
-
-def dimension_formula(p: int, q: int, r: int) -> int:
-    """Predicted metric dimension (2 or 3) from the case dispatch."""
-    tag, _, _ = _dispatch(p, q, r)
-    return 3 if tag in DIMENSION_THREE_TAGS else 2
+    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
+    landmarks = _case_basis(tag, pp, qq, rr)
+    if swapped:
+        # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
+        landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
+    return ClosedFormResult(case=TheoremCase(tag=tag, swapped=swapped), landmarks=landmarks)
 
 
 def dimension_by_path_lengths(p: int, q: int, r: int) -> int:
@@ -375,61 +348,21 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
     raise ValueError(f"unknown case tag {tag!r}")
 
 
-def _check_case(p: int, q: int, r: int, case: TheoremCase) -> tuple[str, tuple[int, int, int], bool]:
-    dispatched = _dispatch(p, q, r)
-    tag, _, swapped = dispatched
-    if case.tag != tag or case.swapped != swapped:
-        raise InvalidParamsError(
-            f"case {case.tag} (swapped={case.swapped}) does not govern "
-            f"({p}, {q}, {r}); dispatch gives {tag} (swapped={swapped})"
-        )
-    return dispatched
+def formula_representation(p: int, q: int, r: int) -> tuple[tuple[int, ...] | str, ...]:
+    """Table-claimed distance vectors of every vertex, indexed by v - 1.
 
-
-def _matching_cells(
-    p: int, q: int, r: int, case: TheoremCase, v: int
-) -> tuple[str, list[tuple[int, tuple[int, ...]]]]:
-    """Case tag, and ``(1-based cell index, claimed vector)`` for every
-    partition cell whose range contains vertex ``v``.
-
-    Raises ``TableLookupError`` ("uncovered") when no cell contains ``v``.
+    Each entry is the vector to the landmarks of :func:`closed_form_basis`,
+    in coordinate order, or ``"uncovered"`` when no cell contains the vertex,
+    or ``"ambiguous"`` when overlapping cells claim different vectors.
+    Compare the entries with BFS distances; BFS is authoritative.
     """
-    tag, (pp, qq, rr), swapped = _check_case(p, q, r, case)
-    if not 1 <= v <= p + q + r:
-        raise ValueError(f"vertex {v} outside 1..{p + q + r}")
-    a = swap_isomorphism(p, q, r)[v] if swapped else v
-    cells = [
-        (index, fn(a))
-        for index, (lo, hi, fn) in enumerate(_case_table(tag, pp, qq, rr), start=1)
-        if lo <= a <= hi
-    ]
-    if not cells:
-        raise TableLookupError("uncovered", v, tag)
-    return tag, cells
-
-
-def partition_index(p: int, q: int, r: int, case: TheoremCase, v: int) -> int:
-    """1-based index of the unique partition cell containing vertex ``v``.
-
-    Raises ``TableLookupError`` when the literal table leaves ``v``
-    uncovered or puts it in more than one cell; both defects are recorded
-    by the sweep rather than silently patched here.
-    """
-    tag, cells = _matching_cells(p, q, r, case, v)
-    if len(cells) > 1:
-        raise TableLookupError("ambiguous", v, tag)
-    return cells[0][0]
-
-
-def formula_representation(p: int, q: int, r: int, case: TheoremCase, v: int) -> tuple[int, ...]:
-    """Table-claimed distance vector of ``v`` to the case landmarks.
-
-    Claims from overlapping cells are accepted when they agree; conflicting
-    or missing claims raise ``TableLookupError``.  Compare the result with
-    BFS distances to :func:`case_landmarks` — BFS is authoritative.
-    """
-    tag, cells = _matching_cells(p, q, r, case, v)
-    claims = {claim for _, claim in cells}
-    if len(claims) > 1:
-        raise TableLookupError("ambiguous", v, tag)
-    return claims.pop()
+    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
+    n = p + q + r
+    entries: list[tuple[int, ...] | str] = ["uncovered"] * n
+    for lo, hi, fn in _case_table(tag, pp, qq, rr):
+        for a in range(max(lo, 1), min(hi, n) + 1):
+            claim, seen = fn(a), entries[a - 1]
+            entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
+    if swapped:
+        entries = [entries[_swap(p, q, r, v) - 1] for v in range(1, n + 1)]
+    return tuple(entries)

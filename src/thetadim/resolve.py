@@ -106,61 +106,3 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
                 return BasisResult(dimension=k, witness=cand)
     raise AssertionError("unreachable: the full vertex set always resolves")
 
-
-def _degree_multiset(g: Graph) -> list[int]:
-    return sorted(g.degree(v) for v in range(1, g.n + 1))
-
-
-def _is_path(g: Graph) -> bool:
-    if g.n == 1:
-        return len(g.edges) == 0
-    if len(g.edges) != g.n - 1 or not g.is_connected():
-        return False
-    return _degree_multiset(g) == [1, 1] + [2] * (g.n - 2)
-
-
-def _is_cycle(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and len(g.edges) == g.n
-        and g.is_connected()
-        and _degree_multiset(g) == [2] * g.n
-    )
-
-
-def _is_complete(g: Graph) -> bool:
-    return len(g.edges) == g.n * (g.n - 1) // 2
-
-
-def _is_complete_bipartite(g: Graph) -> bool:
-    """Connected graph whose BFS levels split it into two fully joined sides."""
-    if not g.is_connected():
-        return False
-    from .graphs import bfs_distances
-
-    level = bfs_distances(g, 1)
-    side_a = {v for v in range(1, g.n + 1) if level[v - 1] % 2 == 0}
-    size_a = len(side_a)
-    if size_a == 0 or size_a == g.n:
-        return False
-    if len(g.edges) != size_a * (g.n - size_a):
-        return False
-    return all((u in side_a) != (v in side_a) for u, v in g.edges)
-
-
-def known_dimension_special(g: Graph) -> int | None:
-    """Dimension of a recognized special family, or None.
-
-    Covers paths (1), cycles (2), complete graphs (n-1) and complete
-    bipartite graphs on four or more vertices (n-2).  Everything else,
-    including theta graphs, returns None and falls to the oracle.
-    """
-    if _is_path(g):
-        return 1
-    if _is_cycle(g):
-        return 2
-    if _is_complete(g):
-        return g.n - 1
-    if g.n >= 4 and _is_complete_bipartite(g):
-        return g.n - 2
-    return None

@@ -21,14 +21,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
-from .closed_form import (
-    TableLookupError,
-    case_landmarks,
-    closed_form_basis,
-    dimension_formula,
-    dispatch_case,
-    formula_representation,
-)
+from .closed_form import closed_form_basis, dispatch_case, formula_representation
 from .graphs import all_pairs
 from .resolve import (
     DEFAULT_ORACLE_CAP,
@@ -119,33 +112,27 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
 def check_triple(p: int, q: int, r: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SweepRecord:
     """Run every closed-form-vs-oracle check for one triple."""
     start = time.perf_counter()
-    case = dispatch_case(p, q, r)
+    result = closed_form_basis(p, q, r)
     g = build_c(p, q, r)
     D = all_pairs(g)
-    result = closed_form_basis(p, q, r)
-    formula_dim = dimension_formula(p, q, r)
     oracle = metric_dimension_oracle(g, cap=oracle_cap)
-    basis_ok = len(result.basis) == formula_dim and is_resolving(g, result.basis)
+    basis_ok = is_resolving(g, result.basis)
     basis_minimal = bool(basis_ok and is_minimal_resolving(g, result.basis))
 
-    landmarks = case_landmarks(p, q, r)
     mismatches: list[TableMismatch] = []
-    for v in range(1, g.n + 1):
-        ground = representation(D, v, landmarks)
-        try:
-            claimed = formula_representation(p, q, r, case, v)
-        except TableLookupError as exc:
-            mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=exc.reason))
-            continue
-        if claimed != ground:
+    for v, claimed in enumerate(formula_representation(p, q, r), start=1):
+        ground = representation(D, v, result.landmarks)
+        if isinstance(claimed, str):
+            mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=claimed))
+        elif claimed != ground:
             mismatches.append(TableMismatch(vertex=v, formula=claimed, bfs=ground))
 
     return SweepRecord(
         params=(p, q, r),
         n=g.n,
-        case=case.tag,
-        swapped=case.swapped,
-        formula_dim=formula_dim,
+        case=result.case.tag,
+        swapped=result.case.swapped,
+        formula_dim=result.dimension,
         oracle_dim=oracle.dimension,
         basis=result.basis,
         basis_ok=basis_ok,

@@ -112,6 +112,18 @@ def to_theta_lengths(p: int, q: int, r: int) -> tuple[int, int, int]:
     return (p + 1, q - 1, r + 1)
 
 
+def _swap(p: int, q: int, r: int, v: int) -> int:
+    """Image of vertex ``v`` of ``C_{p,q,r}`` under the swap onto ``C_{r,q,p}``.
+
+    ``_swap(r, q, p, ·)`` is the inverse map.
+    """
+    if v <= p:
+        return r + q + v
+    if v <= p + q:
+        return r + v - p
+    return v - p - q
+
+
 def swap_isomorphism(p: int, q: int, r: int) -> dict[int, int]:
     """Vertex bijection from ``C_{p,q,r}`` labels onto ``C_{r,q,p}`` labels.
 
@@ -119,14 +131,7 @@ def swap_isomorphism(p: int, q: int, r: int) -> dict[int, int]:
     onto hubs; the map is adjacency-preserving.
     """
     _require_valid(p, q, r)
-    sigma: dict[int, int] = {}
-    for i in range(1, p + 1):
-        sigma[i] = r + q + i
-    for i in range(q):
-        sigma[p + 1 + i] = r + 1 + i
-    for j in range(1, r + 1):
-        sigma[p + q + j] = j
-    return sigma
+    return {v: _swap(p, q, r, v) for v in range(1, p + q + r + 1)}
 
 
 def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:

@@ -12,11 +12,9 @@ from thetadim import (
     all_pairs,
     assign_landmarks,
     build_c,
-    case_landmarks,
     check_triple,
     closed_form_basis,
     detect_theta,
-    dimension_formula,
     dispatch_case,
     field_network_text,
     is_minimal_resolving,
@@ -123,7 +121,7 @@ def test_criterion_3_dimension_three_family_anchors():
             ):
                 dim = metric_dimension_oracle(build_c(a, m, c)).dimension
                 assert dim == 3, (label, p)
-                assert dimension_formula(a, m, c) == 3
+                assert closed_form_basis(a, m, c).dimension == 3
     _pass(3, "three-landmark families check out for arm lengths 2..5", f"{b.elapsed:.1f}s")
 
 

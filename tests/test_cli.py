@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from thetadim import field_network_text
+from thetadim import cli
 from thetadim.cli import main
 
 
@@ -155,3 +156,34 @@ def test_cli_start_up_does_not_import_numpy():
     check = "import thetadim.cli, sys; assert 'numpy' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail the test if the command builds a graph at all."""
+    def refuse(p, q, r):
+        raise AssertionError(f"built C_{{{p},{q},{r}}}")
+    monkeypatch.setattr(cli, "build_c", refuse)
+
+
+@pytest.mark.parametrize("argv, order", [
+    (("build", "1000000", "5", "1"), 1000006),
+    (("check", "1000", "1000", "2000", "--set", "1,2"), 4000),
+])
+def test_order_above_size_limit_is_refused_unbuilt(capsys, no_build, argv, order):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: graph order {order} exceeds the size limit {cli.MAX_ORDER}\n"
+
+
+def test_order_at_size_limit_is_built(capsys):
+    code, out, _ = run(capsys, "build", "1000", "998", "2")
+    assert code == 0
+    assert len(out.splitlines()) == cli.MAX_ORDER + 1
+
+
+def test_dim_oracle_refuses_oversized_graph_unbuilt(capsys, no_build):
+    code, out, err = run(capsys, "dim", "1000000", "5", "1", "--oracle")
+    assert (code, out) == (1, "2 T3-P3\n")
+    assert err == "error: graph order 1000006 exceeds the oracle cap 24\n"
+

@@ -1,20 +1,18 @@
 """Case dispatch, closed-form bases, dimension predicates, and the tables."""
 
+import tracemalloc
+
 import pytest
 
 from thetadim import (
     InvalidParamsError,
-    TableLookupError,
     all_pairs,
     build_c,
-    case_landmarks,
     closed_form_basis,
     dimension_by_path_lengths,
-    dimension_formula,
     dispatch_case,
     formula_representation,
     is_resolving,
-    partition_index,
     representation,
     swap_isomorphism,
     valid_triples,
@@ -99,30 +97,30 @@ def test_basis_degenerate_landmark_collision_is_completed():
 
 
 def test_dimension_examples():
-    assert dimension_formula(3, 7, 3) == 3
-    assert dimension_formula(3, 5, 2) == 2
-    assert dimension_formula(1, 3, 1) == 3
+    assert closed_form_basis(3, 7, 3).dimension == 3
+    assert closed_form_basis(3, 5, 2).dimension == 2
+    assert closed_form_basis(1, 3, 1).dimension == 3
 
 
 def test_dimension_predicates_agree_everywhere():
     # transcription guard: the per-case dispatch and the path-length
     # characterization must never disagree
     for p, q, r in valid_triples(20):
-        assert dimension_formula(p, q, r) == dimension_by_path_lengths(p, q, r), (p, q, r)
+        assert closed_form_basis(p, q, r).dimension == dimension_by_path_lengths(p, q, r), (p, q, r)
 
 
 def test_dimension_three_families():
     for p in range(2, 8):  # every instance with at most 20 vertices
         if 3 * p - 1 <= 20:
-            assert dimension_formula(p - 1, p + 1, p - 1) == 3  # three equal hub paths
+            assert closed_form_basis(p - 1, p + 1, p - 1).dimension == 3  # three equal hub paths
         if 3 * p + 1 <= 20:
-            assert dimension_formula(p - 1, p + 1, p + 1) == 3  # long outer arm
-            assert dimension_formula(p - 1, p + 3, p - 1) == 3  # long middle arm
+            assert closed_form_basis(p - 1, p + 1, p + 1).dimension == 3  # long outer arm
+            assert closed_form_basis(p - 1, p + 3, p - 1).dimension == 3  # long middle arm
 
 
 def test_swap_coherence():
     for p, q, r in valid_triples(14):
-        assert dimension_formula(p, q, r) == dimension_formula(r, q, p)
+        assert closed_form_basis(p, q, r).dimension == closed_form_basis(r, q, p).dimension
         g = build_c(p, q, r)
         assert is_resolving(g, closed_form_basis(p, q, r).basis), (p, q, r)
 
@@ -136,50 +134,21 @@ def test_swapped_basis_pulls_back_through_inverse():
     assert sorted(sigma[v] for v in pulled) == sorted(direct)
 
 
-def test_partition_index_examples():
-    assert partition_index(3, 4, 2, dispatch_case(3, 4, 2), 3) == 2
-    assert partition_index(3, 7, 3, dispatch_case(3, 7, 3), 1) == 1
-
-
-def test_partition_index_rejects_case_mismatch():
-    with pytest.raises(InvalidParamsError):
-        partition_index(3, 4, 2, dispatch_case(3, 7, 3), 1)
-
-
-def test_partition_index_rejects_vertex_out_of_range():
-    with pytest.raises(ValueError):
-        partition_index(3, 4, 2, dispatch_case(3, 4, 2), 10)
-
-
 def test_partition_reports_overlap_as_lookup_error():
     # the (2, 3, 0) table spills one cell beyond its path segment
-    case = dispatch_case(2, 3, 0)
-    with pytest.raises(TableLookupError) as exc:
-        partition_index(2, 3, 0, case, 3)
-    assert exc.value.reason == "ambiguous"
-
-
-def test_partition_unique_on_clean_instances():
-    for p, q, r in [(3, 4, 2), (3, 5, 2), (3, 6, 1), (3, 3, 4), (4, 4, 2),
-                    (4, 4, 1), (5, 4, 2), (6, 4, 1), (3, 7, 3), (2, 5, 2),
-                    (3, 4, 3), (3, 3, 3), (5, 3, 4)]:
-        case = dispatch_case(p, q, r)
-        n = p + q + r
-        labels = [partition_index(p, q, r, case, v) for v in range(1, n + 1)]
-        assert all(l >= 1 for l in labels)
+    assert formula_representation(2, 3, 0)[2] == "ambiguous"
 
 
 def test_formula_representation_examples():
-    assert formula_representation(3, 4, 2, dispatch_case(3, 4, 2), 1) == (0, 2)
-    assert formula_representation(3, 7, 3, dispatch_case(3, 7, 3), 1) == (0, 1, 3)
+    assert formula_representation(3, 4, 2)[0] == (0, 2)
+    assert formula_representation(3, 7, 3)[0] == (0, 1, 3)
 
 
 def test_formula_representation_zero_at_landmark_positions():
     for p, q, r in [(3, 4, 2), (3, 7, 3), (4, 4, 2), (5, 3, 4)]:
-        case = dispatch_case(p, q, r)
-        for i, w in enumerate(case_landmarks(p, q, r)):
-            coords = formula_representation(p, q, r, case, w)
-            assert coords[i] == 0
+        claims = formula_representation(p, q, r)
+        for i, w in enumerate(closed_form_basis(p, q, r).landmarks):
+            assert claims[w - 1][i] == 0
 
 
 def test_formula_matches_bfs_on_clean_instances():
@@ -189,12 +158,11 @@ def test_formula_matches_bfs_on_clean_instances():
     for p, q, r in clean:
         g = build_c(p, q, r)
         D = all_pairs(g)
-        case = dispatch_case(p, q, r)
-        landmarks = case_landmarks(p, q, r)
+        landmarks = closed_form_basis(p, q, r).landmarks
+        claims = formula_representation(p, q, r)
+        assert len(claims) == g.n
         for v in range(1, g.n + 1):
-            assert formula_representation(p, q, r, case, v) == representation(
-                D, v, landmarks
-            ), (p, q, r, v)
+            assert claims[v - 1] == representation(D, v, landmarks), (p, q, r, v)
 
 
 def test_formula_divergence_on_dominant_outer_middle_cells():
@@ -202,11 +170,9 @@ def test_formula_divergence_on_dominant_outer_middle_cells():
     # vertices past the first hub claim a second coordinate one too small
     g = build_c(5, 3, 4)
     D = all_pairs(g)
-    case = dispatch_case(5, 3, 4)
-    landmarks = case_landmarks(5, 3, 4)
+    landmarks = closed_form_basis(5, 3, 4).landmarks
     diffs = {}
-    for v in range(1, 13):
-        claimed = formula_representation(5, 3, 4, case, v)
+    for v, claimed in enumerate(formula_representation(5, 3, 4), start=1):
         ground = representation(D, v, landmarks)
         if claimed != ground:
             diffs[v] = (claimed, ground)
@@ -221,14 +187,24 @@ def test_formula_representation_for_swapped_dispatch():
     # must still match BFS in the caller's labeling (triples chosen from
     # divergence-free tables)
     for p, q, r in [(2, 5, 3), (1, 5, 3), (1, 3, 4), (1, 4, 4)]:
-        case = dispatch_case(p, q, r)
-        assert case.swapped
+        result = closed_form_basis(p, q, r)
+        assert result.case.swapped
         g = build_c(p, q, r)
         D = all_pairs(g)
-        landmarks = case_landmarks(p, q, r)
-        for v in range(1, g.n + 1):
-            try:
-                claimed = formula_representation(p, q, r, case, v)
-            except TableLookupError:
+        for v, claimed in enumerate(formula_representation(p, q, r), start=1):
+            if isinstance(claimed, str):
                 continue
-            assert claimed == representation(D, v, landmarks), (p, q, r, v)
+            assert claimed == representation(D, v, result.landmarks), (p, q, r, v)
+
+
+def test_swapped_landmarks_cost_no_per_vertex_work():
+    # the swap pulls the 2-3 landmarks back one at a time, so a swapped
+    # triple with a million vertices allocates no per-vertex map
+    tracemalloc.start()
+    try:
+        result = closed_form_basis(1, 5, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.basis == (7, 500007) and result.case.tag == "T3-P3"
+    assert peak < 2**20, peak

@@ -11,7 +11,6 @@ from thetadim import (
     build_c,
     is_minimal_resolving,
     is_resolving,
-    known_dimension_special,
     metric_dimension_oracle,
     new_graph,
     representation,
@@ -145,22 +144,14 @@ def test_oracle_rejects_oversized():
         metric_dimension_oracle(path(7), cap=6)
 
 
-def test_special_families():
-    assert known_dimension_special(complete(4)) == 3
-    assert known_dimension_special(cycle(6)) == 2
-    assert known_dimension_special(path(5)) == 1
-    assert known_dimension_special(complete_bipartite(2, 3)) == 3
-    assert known_dimension_special(build_c(3, 7, 3)) is None
-
-
 def test_oracle_agrees_with_special_families():
-    graphs = [path(n) for n in range(2, 11)]
-    graphs += [cycle(n) for n in range(3, 11)]
-    graphs += [complete(n) for n in range(3, 8)]
-    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 6) if a + b >= 4]
-    for g in graphs:
-        expected = known_dimension_special(g)
-        assert expected is not None
+    # known dimensions: paths 1, cycles 2, K_n n-1, K_{a,b} (n >= 4) n-2
+    cases = [(path(n), 1) for n in range(2, 11)]
+    cases += [(cycle(n), 2) for n in range(3, 11)]
+    cases += [(complete(n), n - 1) for n in range(3, 8)]
+    cases += [(complete_bipartite(a, b), a + b - 2)
+              for a in range(1, 5) for b in range(a, 6) if a + b >= 4]
+    for g, expected in cases:
         assert metric_dimension_oracle(g).dimension == expected
 
 
