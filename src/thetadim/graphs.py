@@ -1,8 +1,11 @@
 """Immutable simple graphs on 1-based vertex labels, with BFS hop distances.
 
-Graphs and their distance matrices are frozen after construction and safe to
-share across threads; every downstream computation in this package consumes
-the cached all-pairs matrix.
+Each graph memoises its distance rows, one BFS per source vertex asked for.
+Resolving checks and landmark codes read only the rows of their landmarks,
+O(n·k) for k landmarks; the all-pairs matrix is built from the same rows
+and only the exhaustive oracle needs it.  Rows and matrices are tuples,
+frozen after construction, so graphs are safe to share across threads (a
+race can compute a row twice, never a wrong one).
 """
 
 from __future__ import annotations
@@ -38,9 +41,24 @@ class Graph:
         return tuple(tuple(sorted(b)) for b in nbrs)
 
     @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    @cached_property
     def _distance_matrix(self) -> DistanceMatrix:
-        d = tuple(tuple(bfs_distances(self, u)) for u in range(1, self.n + 1))
+        d = tuple(self.distance_row(u) for u in range(1, self.n + 1))
         return DistanceMatrix(n=self.n, d=d)
+
+    def distance_row(self, source: int) -> tuple[int, ...]:
+        """Memoised hop counts from ``source``, indexed by v-1.
+
+        The all-pairs matrix shares these row objects, so a row is computed
+        by at most one BFS per graph whichever is asked for first.
+        """
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows[source] = tuple(bfs_distances(self, source))
+        return row
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -49,7 +67,7 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     def is_connected(self) -> bool:
-        return UNREACHABLE not in bfs_distances(self, 1)
+        return UNREACHABLE not in self.distance_row(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,5 +124,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs(g: Graph) -> DistanceMatrix:
-    """Cached all-pairs distance matrix of ``g`` (one BFS per vertex)."""
+    """Cached all-pairs distance matrix of ``g``, built from its memoised
+    distance rows (one BFS per vertex, none for a row already computed)."""
     return g._distance_matrix

@@ -11,9 +11,10 @@ quoting for names that contain spaces::
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
 through the exhaustive oracle — and gives every node its distance-vector
-code relative to the landmarks.  Codes are pairwise distinct by definition
-of a resolving set, and that property is re-checked on every call rather
-than trusted.
+code relative to the landmarks.  Codes are read from the k landmarks' BFS
+rows, O(n·k), so the theta fast path never builds the all-pairs matrix.
+Codes are pairwise distinct by definition of a resolving set, and that
+property is re-checked on every call rather than trusted.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .closed_form import closed_form_basis
-from .graphs import Graph, all_pairs, new_graph
-from .resolve import DEFAULT_ORACLE_CAP, metric_dimension_oracle, representation
+from .graphs import Graph, new_graph
+from .resolve import DEFAULT_ORACLE_CAP, metric_dimension_oracle
 from .theta import detect_theta
 
 
@@ -136,11 +137,7 @@ def assign_landmarks(spec: NetworkSpec, oracle_cap: int = DEFAULT_ORACLE_CAP) ->
         oracle = metric_dimension_oracle(g, cap=oracle_cap)
         basis = sorted(oracle.witness)
         method = "oracle"
-    D = all_pairs(g)
-    codes = {
-        name: representation(D, v, basis)
-        for v, name in enumerate(spec.nodes, start=1)
-    }
+    codes = dict(zip(spec.nodes, zip(*(g.distance_row(w) for w in basis))))
     if len(set(codes.values())) != len(spec.nodes):
         raise RuntimeError("landmark codes collide; resolving-set postcondition violated")
     return LandmarkTable(

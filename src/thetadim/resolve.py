@@ -1,14 +1,17 @@
 """Resolving sets, vertex representations, and the exhaustive dimension oracle.
 
 A landmark set W resolves a graph when every vertex gets a distinct vector
-of hop distances to W.  The oracle realizes the definition directly by
-enumerating candidate sets in size-then-lexicographic order, so its answers
-are exact and serve as ground truth for every closed-form claim.
+of hop distances to W, so every check reads only the |W| BFS rows of the
+landmarks and tests whether the n vectors they give are pairwise distinct.
+The oracle realizes the definition directly by enumerating candidate sets in
+size-then-lexicographic order, so its answers are exact and serve as ground
+truth for every closed-form claim.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graphs import DistanceMatrix, Graph, all_pairs
@@ -37,10 +40,14 @@ def representation(D: DistanceMatrix, v: int, landmarks: list[int] | tuple[int, 
     return tuple(D.dist(v, w) for w in landmarks)
 
 
-def _first_collision(rows: tuple[tuple[int, ...], ...], landmarks: tuple[int, ...]) -> tuple[int, int] | None:
+def _resolves(landmark_rows: Iterable[tuple[int, ...]], n: int) -> bool:
+    """True when the landmark rows give all n vertices distinct vectors."""
+    return len(set(zip(*landmark_rows))) == n
+
+
+def _first_collision(landmark_rows: list[tuple[int, ...]]) -> tuple[int, int] | None:
     """Lexicographically first vertex pair sharing a representation, if any."""
-    n = len(rows)
-    keyed = sorted((tuple(rows[v - 1][w - 1] for w in landmarks), v) for v in range(1, n + 1))
+    keyed = sorted(zip(zip(*landmark_rows), itertools.count(1)))
     best: tuple[int, int] | None = None
     for (rep_a, a), (rep_b, b) in zip(keyed, keyed[1:]):
         if rep_a == rep_b:
@@ -50,12 +57,8 @@ def _first_collision(rows: tuple[tuple[int, ...], ...], landmarks: tuple[int, ..
     return best
 
 
-def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[int, int] | None:
-    """One vertex pair not separated by the landmarks, or None when resolving.
-
-    The returned pair is the lexicographically smallest colliding pair, so
-    failures are reproducible.
-    """
+def _landmark_rows(g: Graph, landmarks: list[int] | tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distance rows of a validated landmark set, in landmark order."""
     W = tuple(landmarks)
     if not W:
         raise ValueError("landmark set is empty")
@@ -64,12 +67,21 @@ def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[i
     for w in W:
         if not 1 <= w <= g.n:
             raise ValueError(f"landmark {w} outside 1..{g.n}")
-    return _first_collision(all_pairs(g).d, W)
+    return [g.distance_row(w) for w in W]
+
+
+def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[int, int] | None:
+    """One vertex pair not separated by the landmarks, or None when resolving.
+
+    The returned pair is the lexicographically smallest colliding pair, so
+    failures are reproducible.  Only the landmarks' distance rows are read.
+    """
+    return _first_collision(_landmark_rows(g, landmarks))
 
 
 def is_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bool:
     """True when every vertex has a distinct distance vector to the landmarks."""
-    return unresolved_pair(g, landmarks) is None
+    return _resolves(_landmark_rows(g, landmarks), g.n)
 
 
 def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bool:
@@ -77,12 +89,10 @@ def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bo
 
     Raises ``ValueError`` when the given set is not resolving to begin with.
     """
-    W = tuple(landmarks)
-    if not is_resolving(g, W):
-        raise ValueError(f"{W} is not a resolving set")
-    if len(W) == 1:
-        return True
-    return all(not is_resolving(g, W[:i] + W[i + 1 :]) for i in range(len(W)))
+    rows = _landmark_rows(g, landmarks)
+    if not _resolves(rows, g.n):
+        raise ValueError(f"{tuple(landmarks)} is not a resolving set")
+    return not any(_resolves(rows[:i] + rows[i + 1 :], g.n) for i in range(len(rows)))
 
 
 def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisResult:
@@ -101,8 +111,10 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
     rows = all_pairs(g).d
     vertices = range(1, n + 1)
     for k in range(1, n + 1):
-        for cand in itertools.combinations(vertices, k):
-            if _first_collision(rows, cand) is None:
+        # Both enumerations run in the same lexicographic order, so each
+        # candidate set arrives with its landmark rows, rows[w - 1] for w.
+        for cand, cand_rows in zip(itertools.combinations(vertices, k), itertools.combinations(rows, k)):
+            if _resolves(cand_rows, n):
                 return BasisResult(dimension=k, witness=cand)
     raise AssertionError("unreachable: the full vertex set always resolves")
 

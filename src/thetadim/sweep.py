@@ -22,14 +22,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
 from .closed_form import closed_form_basis, dispatch_case, formula_representation
-from .graphs import all_pairs
-from .resolve import (
-    DEFAULT_ORACLE_CAP,
-    is_minimal_resolving,
-    is_resolving,
-    metric_dimension_oracle,
-    representation,
-)
+from .resolve import DEFAULT_ORACLE_CAP, is_minimal_resolving, is_resolving, metric_dimension_oracle
 from .theta import build_c, validate_params
 
 SCHEMA = "thetadim-sweep/1"
@@ -114,14 +107,14 @@ def check_triple(p: int, q: int, r: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -
     start = time.perf_counter()
     result = closed_form_basis(p, q, r)
     g = build_c(p, q, r)
-    D = all_pairs(g)
     oracle = metric_dimension_oracle(g, cap=oracle_cap)
     basis_ok = is_resolving(g, result.basis)
     basis_minimal = bool(basis_ok and is_minimal_resolving(g, result.basis))
 
+    # BFS ground truth from the landmark rows the checks above already read.
+    grounds = zip(*(g.distance_row(w) for w in result.landmarks))
     mismatches: list[TableMismatch] = []
-    for v, claimed in enumerate(formula_representation(p, q, r), start=1):
-        ground = representation(D, v, result.landmarks)
+    for v, (claimed, ground) in enumerate(zip(formula_representation(p, q, r), grounds, strict=True), start=1):
         if isinstance(claimed, str):
             mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=claimed))
         elif claimed != ground:

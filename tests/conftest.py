@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import strategies as st
 
-from thetadim import new_graph
+from thetadim import Graph, new_graph
 
 
 @st.composite
@@ -10,3 +11,14 @@ def small_graphs(draw, max_n: int = 12):
     pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return new_graph(n, edges)
+
+
+@pytest.fixture
+def no_matrix(monkeypatch):
+    """Fail the test if any graph builds its all-pairs distance matrix.
+
+    ``all_pairs`` reads this property, so a call to it fails too.
+    """
+    def refuse(g):
+        raise AssertionError(f"all-pairs matrix built for a {g.n}-vertex graph")
+    monkeypatch.setattr(Graph, "_distance_matrix", property(refuse))

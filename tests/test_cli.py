@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thetadim import field_network_text
+from thetadim import closed_form_basis, field_network_text
 from thetadim import cli
 from thetadim.cli import main
 
@@ -187,3 +187,11 @@ def test_dim_oracle_refuses_oversized_graph_unbuilt(capsys, no_build):
     assert (code, out) == (1, "2 T3-P3\n")
     assert err == "error: graph order 1000006 exceeds the oracle cap 24\n"
 
+
+@pytest.mark.parametrize("landmarks, expected", [
+    ((1, 2), (1, "unresolved 504 1501\n")),
+    (closed_form_basis(1000, 998, 2).basis, (0, "resolving minimal\n")),
+])
+def test_check_at_size_limit_reads_only_landmark_rows(capsys, no_matrix, landmarks, expected):
+    code, out, _ = run(capsys, "check", "1000", "998", "2", "--set", ",".join(map(str, landmarks)))
+    assert (code, out) == expected

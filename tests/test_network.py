@@ -1,11 +1,15 @@
 """Network parsing, serialization, and landmark assignment."""
 
+import random
+
 import pytest
 
 from thetadim import (
     NetworkParseError,
     NetworkSpec,
     assign_landmarks,
+    bfs_distances,
+    build_c,
     field_network_text,
     format_network,
     metric_dimension_oracle,
@@ -144,3 +148,19 @@ def test_oversized_non_theta_network_rejected():
     with pytest.raises(ValueError, match="cap"):
         assign_landmarks(path_spec(30))
     assert assign_landmarks(path_spec(30), oracle_cap=30).landmarks == ("n1",)
+
+
+def test_theta_landmark_codes_come_from_landmark_rows_only(no_matrix):
+    g = build_c(500, 500, 500)
+    labels = list(range(1, g.n + 1))
+    random.Random(4).shuffle(labels)
+    spec = NetworkSpec(
+        nodes=tuple(f"v{v}" for v in labels),
+        links=tuple((f"v{u}", f"v{v}") for u, v in sorted(g.edges)),
+    )
+    table = assign_landmarks(spec)
+    assert table.method.startswith("closed-form")
+    shuffled = network_graph(spec)
+    index = {name: v for v, name in enumerate(spec.nodes, start=1)}
+    rows = [bfs_distances(shuffled, index[name]) for name in table.landmarks]
+    assert table.codes == {name: tuple(row[v - 1] for row in rows) for name, v in index.items()}

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetadim import (
+    BasisResult,
     all_pairs,
+    bfs_distances,
     build_c,
     is_minimal_resolving,
     is_resolving,
@@ -15,6 +17,7 @@ from thetadim import (
     new_graph,
     representation,
     unresolved_pair,
+    valid_triples,
 )
 
 from conftest import small_graphs
@@ -176,8 +179,6 @@ def test_resolving_supersets_stay_resolving(g, data):
 
 
 def test_oracle_soundness_on_small_theta_graphs():
-    from thetadim import valid_triples
-
     for p, q, r in valid_triples(9):
         g = build_c(p, q, r)
         result = metric_dimension_oracle(g)
@@ -188,3 +189,52 @@ def test_oracle_soundness_on_small_theta_graphs():
                 is_resolving(g, cand)
                 for cand in itertools.combinations(range(1, g.n + 1), k)
             )
+
+
+def sorting_oracle(g):
+    """The oracle as it stood before the set test: every candidate sorts
+    the n vertices by their full-matrix vectors and looks for a tie."""
+    n = g.n
+    rows = [bfs_distances(g, u) for u in range(1, n + 1)]
+    for k in range(1, n + 1):
+        for cand in itertools.combinations(range(1, n + 1), k):
+            keyed = sorted((tuple(rows[v - 1][w - 1] for w in cand), v) for v in range(1, n + 1))
+            if all(a[0] != b[0] for a, b in zip(keyed, keyed[1:])):
+                return BasisResult(dimension=k, witness=cand)
+    raise AssertionError("the full vertex set always resolves")
+
+
+def petersen():
+    outer = [(i, i % 5 + 1) for i in range(1, 6)]
+    inner = [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    return new_graph(10, outer + inner + [(i, i + 5) for i in range(1, 6)])
+
+
+def test_oracle_matches_sorting_oracle_on_theta_graphs():
+    for p, q, r in valid_triples(14):
+        g = build_c(p, q, r)
+        assert metric_dimension_oracle(g) == sorting_oracle(g), (p, q, r)
+
+
+def test_oracle_matches_sorting_oracle_on_classic_families():
+    graphs = [path(n) for n in range(1, 9)] + [cycle(n) for n in range(3, 10)]
+    graphs += [complete(n) for n in range(2, 7)] + [complete_bipartite(3, 3), petersen()]
+    for g in graphs:
+        assert metric_dimension_oracle(g) == sorting_oracle(g), sorted(g.edges)
+    assert metric_dimension_oracle(petersen()).dimension == 3
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 9):
+    """A random spanning tree on 1..n plus any subset of the other pairs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    tree = [(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)]
+    rest = [pair for pair in itertools.combinations(range(1, n + 1), 2) if pair not in tree]
+    extra = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    return new_graph(n, tree + extra)
+
+
+@given(connected_graphs())
+@settings(deadline=None, max_examples=80)
+def test_oracle_matches_sorting_oracle_on_random_connected_graphs(g):
+    assert metric_dimension_oracle(g) == sorting_oracle(g)

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from thetadim import graphs
 from thetadim import (
     build_c,
     check_triple,
@@ -135,3 +136,19 @@ def test_elapsed_excluded_from_equality_and_serialization():
     report = sweep(5)
     assert all(rec.elapsed >= 0 for rec in report.records)
     assert '"elapsed"' not in emit_report(report)
+
+
+def test_check_triple_runs_one_bfs_per_vertex(monkeypatch):
+    sources = []
+    bfs = graphs.bfs_distances
+
+    def counting(g, source):
+        sources.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counting)
+    record = check_triple(3, 7, 3)
+    assert record.basis_ok and record.basis_minimal
+    # The oracle reads every row; the basis, minimality and table checks
+    # reuse them instead of running BFS again.
+    assert sorted(sources) == list(range(1, record.n + 1))
