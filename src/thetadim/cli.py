@@ -25,8 +25,8 @@ from .resolve import (
 from .sweep import emit_report, sweep
 from .theta import build_c
 
-#: Largest order ``build`` and ``check`` accept; ``check`` holds the full
-#: distance matrix, which grows as the square of the order.
+#: Largest order ``build`` and ``check`` accept; ``build`` prints all n + 1
+#: edges and ``check`` runs one BFS per landmark, O(n·k).
 MAX_ORDER = 2000
 
 

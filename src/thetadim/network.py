@@ -1,4 +1,4 @@
-"""Named networks and landmark assignment.
+r"""Named networks and landmark assignment.
 
 A network file declares nodes and links, one per line, with shell-style
 quoting for names that contain spaces::
@@ -7,6 +7,24 @@ quoting for names that contain spaces::
     node "Field 1"
     node "Field 2"
     link "Field 1" "Field 2"
+
+Each line splits into tokens exactly as ``shlex.split(line, comments=True)``
+splits it (POSIX rules), by one compiled pattern:
+
+- whitespace is only space, tab, CR and LF, so ``\x0b`` is part of a word;
+- outside quotes, ``#`` starts a comment, even in the middle of a word
+  (``a#b`` gives ``a``);
+- text in single quotes is literal;
+- inside double quotes, only ``\"`` and ``\\`` are escapes;
+- outside quotes, a backslash escapes the next character;
+- quoted and unquoted pieces next to each other join into one token
+  (``'St. Mary'"'"'s'`` gives ``St. Mary's``);
+- ``''`` gives an empty token.
+
+An unclosed quote or a trailing backslash makes the line unparsable, with
+the message shlex gives.  Lines end at every ``str.splitlines`` boundary, so a name
+cannot contain a line break (``\n``, ``\x0b``, ``\x0c``, ``\x85``,
+``\u2028``, ...), and it cannot be empty.
 
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
@@ -19,6 +37,7 @@ property is re-checked on every call rather than trusted.
 
 from __future__ import annotations
 
+import re
 import shlex
 from dataclasses import dataclass
 from importlib import resources
@@ -54,6 +73,43 @@ class LandmarkTable:
     method: str
 
 
+_DOUBLE_BODY = r'(?:[^"\\]|\\.)*'  # inside double quotes: any character but " and \, or an escape
+_LEXEME = re.compile(
+    rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{_DOUBLE_BODY}")+)"""  # a word: bare, escaped and quoted pieces
+    r"|#[^\n]*"  # a comment, to the end of the line
+    rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
+    r"""|(['"]).*""",  # an unclosed quote
+    re.DOTALL,
+)
+_PIECE = re.compile(rf"""'([^']*)'|"({_DOUBLE_BODY})"|\\(.)""", re.DOTALL)
+_DOUBLE_ESCAPE = re.compile(r'\\([\\"])')
+
+
+def _piece_text(m: re.Match) -> str:
+    single, double, escaped = m.groups()
+    if double is not None:
+        return _DOUBLE_ESCAPE.sub(r"\1", double)
+    return single if single is not None else escaped
+
+
+def _split_line(line: str) -> list[str]:
+    """Tokens of one line, as ``shlex.split(line, comments=True)`` gives
+    them; raises ``ValueError`` with shlex's message on a malformed line."""
+    tokens = []
+    for word, no_escaped, no_closing in _LEXEME.findall(line):
+        if word:
+            if "\\" in word or '"' in word:
+                word = _PIECE.sub(_piece_text, word)
+            elif "'" in word:
+                word = word.replace("'", "")
+            tokens.append(word)
+        elif no_escaped:
+            raise ValueError("No escaped character")
+        elif no_closing:
+            raise ValueError("No closing quotation")
+    return tokens
+
+
 def parse_network(text: str) -> NetworkSpec:
     """Parse network text, rejecting duplicate nodes, unknown names in links,
     self-links, and duplicate links.  Comments (#) and blank lines are
@@ -64,7 +120,7 @@ def parse_network(text: str) -> NetworkSpec:
     seen_links: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = shlex.split(raw, comments=True)
+            tokens = _split_line(raw)
         except ValueError as exc:
             raise NetworkParseError(lineno, f"unparsable line ({exc})") from exc
         if not tokens:
@@ -100,7 +156,16 @@ def parse_network(text: str) -> NetworkSpec:
 
 
 def format_network(spec: NetworkSpec) -> str:
-    """Render a spec back to network text; parse(format(spec)) round-trips."""
+    """Render a spec back to network text.
+
+    ``parse_network(format_network(spec)) == spec`` for every spec with
+    distinct nodes and links between distinct declared nodes, none repeated.
+    Raises ``ValueError`` naming a node that network text cannot carry: an
+    empty name, or one holding a line break.
+    """
+    for name in spec.nodes:
+        if name.splitlines() != [name]:
+            raise ValueError(f"node name {name!r} is empty or holds a line break")
     lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
     lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
     return "\n".join(lines) + "\n"

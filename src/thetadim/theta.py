@@ -168,6 +168,37 @@ def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     return hub_a, hub_b, chains
 
 
+def _middle_order(chains: list[tuple[int, ...]]) -> list[int]:
+    """Chain indices by (path length, internal labels): the preference order
+    of the middle path."""
+    return sorted(range(3), key=lambda i: (len(chains[i]), chains[i]))
+
+
+def _shape(hub_a: int, hub_b: int, chains: list[tuple[int, ...]], mi: int) -> ThetaShape:
+    """The parameterization with chain ``mi`` as the middle path; the longer
+    outer path becomes outer-one."""
+    middle = chains[mi]
+    outer_one, outer_two = sorted(
+        (chains[j] for j in range(3) if j != mi),
+        key=lambda c: (-len(c), c),
+    )
+    p, q, r = len(outer_one), len(middle) + 2, len(outer_two)
+    relabeling: dict[int, int] = {hub_a: p + 1, hub_b: p + q}
+    for offset, v in enumerate(outer_one, start=1):
+        relabeling[v] = offset
+    for offset, v in enumerate(middle, start=p + 2):
+        relabeling[v] = offset
+    for offset, v in enumerate(outer_two, start=p + q + 1):
+        relabeling[v] = offset
+    return ThetaShape(
+        params=ThetaParams(p, q, r),
+        hub_a=hub_a,
+        hub_b=hub_b,
+        path_vertices=(outer_one, (hub_a, *middle, hub_b), outer_two),
+        relabeling=relabeling,
+    )
+
+
 def theta_parameterizations(g: Graph) -> list[ThetaShape]:
     """All three C-parameterizations of a theta graph, preferred order first.
 
@@ -181,32 +212,7 @@ def theta_parameterizations(g: Graph) -> list[ThetaShape]:
     if probe is None:
         return []
     hub_a, hub_b, chains = probe
-    order = sorted(range(3), key=lambda i: (len(chains[i]), chains[i]))
-    shapes: list[ThetaShape] = []
-    for mi in order:
-        middle = chains[mi]
-        outer_one, outer_two = sorted(
-            (chains[j] for j in range(3) if j != mi),
-            key=lambda c: (-len(c), c),
-        )
-        p, q, r = len(outer_one), len(middle) + 2, len(outer_two)
-        relabeling: dict[int, int] = {hub_a: p + 1, hub_b: p + q}
-        for offset, v in enumerate(outer_one, start=1):
-            relabeling[v] = offset
-        for offset, v in enumerate(middle, start=p + 2):
-            relabeling[v] = offset
-        for offset, v in enumerate(outer_two, start=p + q + 1):
-            relabeling[v] = offset
-        shapes.append(
-            ThetaShape(
-                params=ThetaParams(p, q, r),
-                hub_a=hub_a,
-                hub_b=hub_b,
-                path_vertices=(outer_one, (hub_a, *middle, hub_b), outer_two),
-                relabeling=relabeling,
-            )
-        )
-    return shapes
+    return [_shape(hub_a, hub_b, chains, mi) for mi in _middle_order(chains)]
 
 
 def detect_theta(g: Graph) -> ThetaShape | None:
@@ -218,5 +224,8 @@ def detect_theta(g: Graph) -> ThetaShape | None:
     Returns None when ``g`` is not a theta graph; that outcome is a result,
     not an error.
     """
-    shapes = theta_parameterizations(g)
-    return shapes[0] if shapes else None
+    probe = _hub_chains(g)
+    if probe is None:
+        return None
+    hub_a, hub_b, chains = probe
+    return _shape(hub_a, hub_b, chains, _middle_order(chains)[0])

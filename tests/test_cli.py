@@ -1,13 +1,17 @@
 """Command-line surface: golden output lines and exit codes."""
 
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadim import closed_form_basis, field_network_text
 from thetadim import cli
@@ -135,6 +139,44 @@ def test_landmarks_non_utf8_file_exit_two(tmp_path, capsys):
     code, out, err = run(capsys, "landmarks", str(net))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "UTF-8" in err
+
+
+# two spellings of each node name: the node line uses the first, links either
+_FUZZ_SPELLINGS = [("a", "'a'"), ("'c d'", '"c d"'), ('"e\\"f"', "'e\"f'"), ("g\\ h", "'g h'"),
+                   ("'#'", "\\#"), ("i#j", "i")]
+_FUZZ_NOISE = st.lists(
+    st.sampled_from(["node", "link", "a", " ", "\t", "\x0b", "'", '"', "\\", "#"]), max_size=12
+).map("".join)
+_FUZZ_LONG = st.sampled_from(["node {}", "link a {}", "node '{}", "#{}"]).flatmap(
+    lambda form: st.integers(1, 5000).map(lambda k: form.format("x" * k))
+)
+
+
+@st.composite
+def _fuzz_network_text(draw):
+    """Node lines, maybe a path of links through them, then links, quoting
+    noise and long lines, each line ended by LF, CRLF or CR."""
+    nodes = draw(st.lists(st.sampled_from(_FUZZ_SPELLINGS), unique=True, min_size=2, max_size=5))
+    lines = [f"node {first}" for first, _ in nodes]
+    if draw(st.booleans()):  # a path through all nodes, so some networks are connected
+        lines += [f"link {u[1]} {v[0]}" for u, v in zip(nodes, nodes[1:])]
+    link_end = st.sampled_from(nodes).flatmap(st.sampled_from)
+    link = st.builds("link {} {}".format, link_end, link_end)
+    lines += draw(st.lists(st.one_of(link, link, link, _FUZZ_NOISE, _FUZZ_LONG), max_size=10))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_fuzz_network_text())
+def test_landmarks_fuzz_ends_in_a_documented_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "net.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["landmarks", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -1,8 +1,11 @@
 """Network parsing, serialization, and landmark assignment."""
 
 import random
+import shlex
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thetadim import (
     NetworkParseError,
@@ -16,6 +19,7 @@ from thetadim import (
     network_graph,
     parse_network,
 )
+from thetadim.network import _split_line
 
 TWO_NODES = """
 node a
@@ -88,6 +92,99 @@ def test_round_trip_quotes_awkward_names():
     spec = NetworkSpec(nodes=("a b", "c#d", "plain"), links=(("a b", "c#d"),))
     again = parse_network(format_network(spec))
     assert again == spec
+
+
+@pytest.mark.parametrize(
+    "line, tokens",
+    [
+        ("a\x0bb c", ["a\x0bb", "c"]),  # \x0b is not whitespace
+        ("a#b c", ["a"]),  # a comment may start inside a word
+        ("'a#b' c", ["a#b", "c"]),
+        ("'a\\\"b'", ['a\\"b']),  # single quotes are literal
+        ('"a\\\"b\\\\c\\d"', ['a"b\\c\\d']),  # only \" and \\ escape
+        ("a\\ b\\'c", ["a b'c"]),  # a backslash escapes outside quotes
+        ("'St. Mary'\"'\"'s Field'", ["St. Mary's Field"]),  # pieces join
+        ("'' x \"\"", ["", "x", ""]),
+        ("  \t# only a comment", []),
+    ],
+)
+def test_split_line_rules(line, tokens):
+    assert _split_line(line) == tokens
+
+
+def _split_outcome(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(deadline=None, max_examples=1000)
+@given(st.text(alphabet=list("'\"\\# \t\x0bab\r\n"), max_size=24))
+@example("a\\")
+@example('"a\\')
+@example('"a\\"')
+@example("'a\\")
+def test_split_line_agrees_with_shlex(line):
+    expected = _split_outcome(lambda text: shlex.split(text, comments=True), line)
+    assert _split_outcome(_split_line, line) == expected
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("node 'a", "No closing quotation"), ('node "a\\', "No escaped character"), ("node a\\", "No escaped character")],
+)
+def test_malformed_line_names_the_shlex_error(line, message):
+    with pytest.raises(NetworkParseError, match=f"line 2: unparsable line \\({message}\\)"):
+        parse_network("node b\n" + line + "\n")
+
+
+def test_well_formed_lines_never_reach_shlex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("shlex.split called on a network line")
+    monkeypatch.setattr(shlex, "split", refuse)
+    assert parse_network(field_network_text()).nodes[0] == "Field 1"
+    g = build_c(600, 400, 500)
+    labels = list(range(1, g.n + 1))
+    random.Random(5).shuffle(labels)
+    names = {v: (f"St. Mary's {v}" if v % 3 == 0 else f"Depot {v}") for v in labels}
+    spec = NetworkSpec(
+        nodes=tuple(names[v] for v in labels),
+        links=tuple((names[u], names[v]) for u, v in sorted(g.edges)),
+    )
+    assert parse_network(format_network(spec)) == spec
+
+
+@st.composite
+def network_specs(draw):
+    """Specs parse_network could return, over arbitrary text names."""
+    nodes = draw(st.lists(st.text(max_size=6), max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
+    return NetworkSpec(
+        nodes=tuple(nodes),
+        links=tuple((b, a) if flip else (a, b) for (a, b), flip in zip(links, flips)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(network_specs())
+@example(NetworkSpec(nodes=("a\x85b", "z"), links=(("a\x85b", "z"),)))
+@example(NetworkSpec(nodes=("", "z"), links=()))
+def test_format_round_trips_every_spec_it_accepts(spec):
+    try:
+        text = format_network(spec)
+    except ValueError as exc:
+        assert any(name.splitlines() != [name] and repr(name) in str(exc) for name in spec.nodes)
+        return
+    assert parse_network(text) == spec
+
+
+@pytest.mark.parametrize("name", ["", "a\nb", "a\x0cb", "a\x1cb", "a\x85b", "a\u2028b", "a\r"])
+def test_format_refuses_names_text_cannot_carry(name):
+    with pytest.raises(ValueError, match="node name"):
+        format_network(NetworkSpec(nodes=(name, "z"), links=((name, "z"),)))
 
 
 def test_graph_build_reports_disconnection():

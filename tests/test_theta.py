@@ -192,6 +192,18 @@ def test_detect_round_trips_exhaustively():
         )
 
 
+def test_detect_returns_the_preferred_parameterization():
+    rng = random.Random(7)
+    for p, q, r in valid_triples(12):
+        g = build_c(p, q, r)
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        shuffled = relabel(g, dict(zip(range(1, g.n + 1), perm)))
+        assert detect_theta(shuffled) == theta_parameterizations(shuffled)[0], (p, q, r)
+    cycle = new_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+    assert detect_theta(cycle) is None and theta_parameterizations(cycle) == []
+
+
 def test_build_size_invariant():
     for p, q, r in valid_triples(16):
         g = build_c(p, q, r)
