@@ -158,14 +158,30 @@ def parse_network(text: str) -> NetworkSpec:
 def format_network(spec: NetworkSpec) -> str:
     """Render a spec back to network text.
 
-    ``parse_network(format_network(spec)) == spec`` for every spec with
-    distinct nodes and links between distinct declared nodes, none repeated.
-    Raises ``ValueError`` naming a node that network text cannot carry: an
-    empty name, or one holding a line break.
+    ``parse_network(format_network(spec)) == spec`` for every spec it
+    accepts.  Raises ``ValueError`` for a spec whose text ``parse_network``
+    would reject: a node name that text cannot carry (empty, or holding a
+    line break), a duplicate node, a link to an undeclared node, a self-link,
+    or a duplicate link in either orientation.
     """
+    declared: set[str] = set()
     for name in spec.nodes:
         if name.splitlines() != [name]:
             raise ValueError(f"node name {name!r} is empty or holds a line break")
+        if name in declared:
+            raise ValueError(f"duplicate node {name!r}")
+        declared.add(name)
+    linked: set[tuple[str, str]] = set()
+    for a, b in spec.links:
+        for name in (a, b):
+            if name not in declared:
+                raise ValueError(f"unknown node {name!r}")
+        if a == b:
+            raise ValueError(f"self-link at {a!r}")
+        key = (min(a, b), max(a, b))
+        if key in linked:
+            raise ValueError(f"duplicate link {a!r} -- {b!r}")
+        linked.add(key)
     lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
     lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
     return "\n".join(lines) + "\n"

@@ -5,7 +5,17 @@ of hop distances to W, so every check reads only the |W| BFS rows of the
 landmarks and tests whether the n vectors they give are pairwise distinct.
 The oracle realizes the definition directly by enumerating candidate sets in
 size-then-lexicographic order, so its answers are exact and serve as ground
-truth for every closed-form claim.
+truth for every closed-form claim.  It skips only candidates that two
+classic facts rule out, so its first resolving candidate, the witness, is the
+one the full enumeration finds:
+
+- twins u, v (N(u) - {v} = N(v) - {u}) are equally far from every other
+  vertex, so every resolving set holds all but at most one vertex of each
+  twin class (Hernando, Mora, Pelayo, Seara & Wood, "Extremal graph
+  theory for metric dimension and diameter", 2010);
+- the n - k vertices outside a resolving set of size k have distinct vectors
+  in {1..D}^k, so n <= D^k + k for a graph of diameter D (Khuller,
+  Raghavachari & Rosenfeld, "Landmarks in graphs", 1996).
 """
 
 from __future__ import annotations
@@ -95,13 +105,40 @@ def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bo
     return not any(_resolves(rows[:i] + rows[i + 1 :], g.n) for i in range(len(rows)))
 
 
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """Twin classes of two or more vertices: groups with equal open
+    neighbourhoods N(v) (false twins) or equal closed ones N[v] (true twins).
+
+    No open neighbourhood equals a closed one (N(u) = N[v] would put u in
+    N(u)), and no vertex has both a false and a true twin, so the two
+    groupings share one dict and the classes are disjoint.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v in range(1, g.n + 1):
+        nbrs = g.adjacency[v]
+        groups.setdefault(nbrs, []).append(v)
+        groups.setdefault(tuple(sorted((*nbrs, v))), []).append(v)
+    return [group for group in groups.values() if len(group) > 1]
+
+
 def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisResult:
     """Exact metric dimension by exhaustive subset enumeration.
 
     Candidate sets are tried in increasing size, lexicographically within a
     size, and the first resolving set is returned, so the witness is the
-    lexicographically smallest minimum resolving set.  Requires a connected
-    graph with at most ``cap`` vertices.
+    lexicographically smallest minimum resolving set.  Sets that cannot
+    resolve are skipped untested, so the witness is the one the full
+    enumeration finds:
+
+    - sizes below the sum of |T| - 1 over the twin classes T, and candidates
+      that leave out two vertices of one class, since every resolving set
+      holds all but at most one vertex of each twin class (Hernando et al.
+      2010);
+    - sizes k with D^k + k < n, since a graph of diameter D with a resolving
+      set of size k has at most D^k + k vertices (Khuller, Raghavachari &
+      Rosenfeld 1996).
+
+    Requires a connected graph with at most ``cap`` vertices.
     """
     n = g.n
     if n > cap:
@@ -109,12 +146,31 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
     rows = all_pairs(g).d
+    diameter = max(map(max, rows))
+    classes = _twin_classes(g)
+    # Vertex v of the i-th twin class weighs 2^(width*i), so the vertices a
+    # candidate leaves out weigh their count per class, each in a digit of its
+    # own (width bits hold any count up to n).  A digit above 1 means two
+    # omitted twins, which no resolving set has.
+    width = n.bit_length()
+    weights = [0] * n
+    for i, T in enumerate(classes):
+        for v in T:
+            weights[v - 1] = 1 << width * i
+    total = sum(weights)
+    two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
     vertices = range(1, n + 1)
-    for k in range(1, n + 1):
-        # Both enumerations run in the same lexicographic order, so each
-        # candidate set arrives with its landmark rows, rows[w - 1] for w.
-        for cand, cand_rows in zip(itertools.combinations(vertices, k), itertools.combinations(rows, k)):
+    for k in range(max(1, sum(len(T) - 1 for T in classes)), n + 1):
+        if diameter**k + k < n:
+            continue
+        # The enumerations run in the same lexicographic order, so each
+        # candidate set arrives with its landmark rows, rows[w - 1] for w,
+        # and its weights.
+        for cand, cand_rows, cand_weights in zip(
+            itertools.combinations(vertices, k), itertools.combinations(rows, k), itertools.combinations(weights, k)
+        ):
+            if (total - sum(cand_weights)) & two_or_more:
+                continue
             if _resolves(cand_rows, n):
                 return BasisResult(dimension=k, witness=cand)
     raise AssertionError("unreachable: the full vertex set always resolves")
-

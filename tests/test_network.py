@@ -156,7 +156,7 @@ def test_well_formed_lines_never_reach_shlex(monkeypatch):
 
 
 @st.composite
-def network_specs(draw):
+def valid_network_specs(draw):
     """Specs parse_network could return, over arbitrary text names."""
     nodes = draw(st.lists(st.text(max_size=6), max_size=6, unique=True))
     pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
@@ -168,15 +168,40 @@ def network_specs(draw):
     )
 
 
-@settings(deadline=None, max_examples=300)
-@given(network_specs())
+@st.composite
+def any_network_specs(draw):
+    """Arbitrary node and link lists over a few names, so that duplicate
+    nodes, undeclared and repeated names in links are common."""
+    names = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4))
+    nodes = draw(st.lists(st.sampled_from(names), max_size=5))
+    links = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=5))
+    return NetworkSpec(nodes=tuple(nodes), links=tuple(links))
+
+
+def naive_network_text(spec):
+    """The spec written out line by line, with no check."""
+    lines = [f"node {shlex.quote(name)}\n" for name in spec.nodes]
+    lines += [f"link {shlex.quote(a)} {shlex.quote(b)}\n" for a, b in spec.links]
+    return "".join(lines)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(valid_network_specs(), any_network_specs()))
 @example(NetworkSpec(nodes=("a\x85b", "z"), links=(("a\x85b", "z"),)))
 @example(NetworkSpec(nodes=("", "z"), links=()))
+@example(NetworkSpec(nodes=("a", "a"), links=()))
+@example(NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("b", "a"))))
 def test_format_round_trips_every_spec_it_accepts(spec):
+    """format_network refuses exactly the specs whose text does not parse,
+    naming an offending name, and every spec it accepts parses back to
+    itself."""
     try:
         text = format_network(spec)
     except ValueError as exc:
-        assert any(name.splitlines() != [name] and repr(name) in str(exc) for name in spec.nodes)
+        names = {*spec.nodes, *(name for link in spec.links for name in link)}
+        assert any(repr(name) in str(exc) for name in names)
+        with pytest.raises(NetworkParseError):
+            parse_network(naive_network_text(spec))
         return
     assert parse_network(text) == spec
 
@@ -185,6 +210,24 @@ def test_format_round_trips_every_spec_it_accepts(spec):
 def test_format_refuses_names_text_cannot_carry(name):
     with pytest.raises(ValueError, match="node name"):
         format_network(NetworkSpec(nodes=(name, "z"), links=((name, "z"),)))
+
+
+@pytest.mark.parametrize(
+    ("spec", "message"),
+    [
+        (NetworkSpec(nodes=("a", "a"), links=()), "duplicate node 'a'"),
+        (NetworkSpec(nodes=("a",), links=(("a", "b"),)), "unknown node 'b'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "a"),)), "self-link at 'a'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("a", "b"))), "duplicate link 'a' -- 'b'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("b", "a"))), "duplicate link 'b' -- 'a'"),
+    ],
+    ids=["duplicate-node", "undeclared-node", "self-link", "duplicate-link", "reversed-duplicate-link"],
+)
+def test_format_refuses_what_parse_rejects(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        format_network(spec)
+    with pytest.raises(NetworkParseError, match=f": {message}$"):
+        parse_network(naive_network_text(spec))
 
 
 def test_graph_build_reports_disconnection():

@@ -16,6 +16,7 @@ from thetadim import (
     metric_dimension_oracle,
     new_graph,
     representation,
+    resolve,
     unresolved_pair,
     valid_triples,
 )
@@ -238,3 +239,91 @@ def connected_graphs(draw, max_n: int = 9):
 @settings(deadline=None, max_examples=80)
 def test_oracle_matches_sorting_oracle_on_random_connected_graphs(g):
     assert metric_dimension_oracle(g) == sorting_oracle(g)
+
+
+def star(leaves):
+    return complete_bipartite(1, leaves)
+
+
+def complete_multipartite(*parts):
+    """Every pair of vertices in different parts is an edge."""
+    part_of = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(part_of)
+    return new_graph(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                         if part_of[u - 1] != part_of[v - 1]])
+
+
+def test_oracle_matches_sorting_oracle_on_twin_heavy_families():
+    graphs = [complete(n) for n in range(1, 9)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+    graphs += [star(leaves) for leaves in range(1, 9)]
+    graphs += [complete_multipartite(*parts) for parts in
+               [(1, 1, 2), (1, 2, 2), (2, 2, 2), (1, 2, 3), (2, 2, 3), (3, 3, 3), (1, 1, 1, 2), (1, 2, 2, 3)]]
+    for g in graphs:
+        assert metric_dimension_oracle(g) == sorting_oracle(g), sorted(g.edges)
+
+
+def test_oracle_matches_sorting_oracle_on_one_and_two_vertices():
+    for g in (new_graph(1, []), new_graph(2, [(1, 2)])):
+        assert metric_dimension_oracle(g) == sorting_oracle(g) == BasisResult(dimension=1, witness=(1,))
+
+
+@st.composite
+def twin_clone_graphs(draw, max_base: int = 7, max_clones: int = 4):
+    """A connected graph with random vertices cloned as false twins (same
+    open neighbourhood) or true twins (same closed neighbourhood); a clone
+    can itself be cloned, so twin classes grow past two."""
+    g = draw(connected_graphs(max_n=max_base))
+    nbrs = [set()] + [set(g.adjacency[v]) for v in range(1, g.n + 1)]
+    for _ in range(draw(st.integers(1, max_clones))):
+        v = draw(st.integers(1, len(nbrs) - 1))
+        clone = len(nbrs)
+        true_twin = draw(st.booleans()) or not nbrs[v]  # a lone vertex's false twin would be isolated
+        nbrs.append(nbrs[v] | {v} if true_twin else set(nbrs[v]))
+        for w in nbrs[clone]:
+            nbrs[w].add(clone)
+    n = len(nbrs) - 1
+    return new_graph(n, [(u, w) for u in range(1, n + 1) for w in nbrs[u] if u < w])
+
+
+@given(twin_clone_graphs())
+@settings(deadline=None, max_examples=100)
+def test_oracle_matches_sorting_oracle_on_graphs_with_twins(g):
+    assert metric_dimension_oracle(g) == sorting_oracle(g)
+
+
+@pytest.fixture
+def resolves_calls(monkeypatch):
+    """The size of every candidate the oracle tests, in order."""
+    sizes = []
+    real = resolve._resolves
+
+    def counting(landmark_rows, n):
+        landmark_rows = tuple(landmark_rows)
+        sizes.append(len(landmark_rows))
+        return real(landmark_rows, n)
+
+    monkeypatch.setattr(resolve, "_resolves", counting)
+    return sizes
+
+
+def test_twin_classes_leave_one_candidate_for_complete_graphs(resolves_calls):
+    assert metric_dimension_oracle(complete_bipartite(5, 5)) == BasisResult(8, (1, 2, 3, 4, 6, 7, 8, 9))
+    assert resolves_calls == [8]
+    resolves_calls.clear()
+    assert metric_dimension_oracle(complete(12)).dimension == 11
+    assert resolves_calls == [11]
+
+
+def test_true_twins_skip_sizes_the_diameter_bound_allows(resolves_calls):
+    # K_5 with a pendant at vertex 1: 2, 3, 4, 5 share N[v] = {1, ..., 5}, so
+    # every resolving set holds three of them; diameter 2 alone allows size 2.
+    g = new_graph(6, list(itertools.combinations(range(1, 6), 2)) + [(1, 6)])
+    assert metric_dimension_oracle(g) == sorting_oracle(g)
+    assert resolves_calls and min(resolves_calls) == 3
+
+
+def test_diameter_bound_skips_small_sizes_on_petersen(resolves_calls):
+    # Diameter 2: 2^1 + 1 and 2^2 + 2 are below 10, so sizes 1 and 2 are never tried.
+    assert metric_dimension_oracle(petersen()).dimension == 3
+    assert resolves_calls and min(resolves_calls) == 3
