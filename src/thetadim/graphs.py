@@ -2,15 +2,17 @@
 
 Each graph memoises its distance rows, one BFS per source vertex asked for.
 Resolving checks and landmark codes read only the rows of their landmarks,
-O(n·k) for k landmarks; the all-pairs matrix is built from the same rows
-and only the exhaustive oracle needs it.  Rows and matrices are tuples,
-frozen after construction, so graphs are safe to share across threads (a
-race can compute a row twice, never a wrong one).
+O(n·k) for k landmarks, and the exhaustive oracle reads only the rows of
+the candidates it tests.  No library code reads the all-pairs matrix; it is
+built from the same rows for callers that want every distance.  Rows and
+matrices are tuples, frozen after construction, so graphs are safe to share
+across threads (a race can compute a row twice, never a wrong one).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,24 +43,21 @@ class Graph:
         return tuple(tuple(sorted(b)) for b in nbrs)
 
     @cached_property
-    def _rows(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    @cached_property
     def _distance_matrix(self) -> DistanceMatrix:
-        d = tuple(self.distance_row(u) for u in range(1, self.n + 1))
+        d = tuple(map(self.distance_row, range(1, self.n + 1)))
         return DistanceMatrix(n=self.n, d=d)
 
-    def distance_row(self, source: int) -> tuple[int, ...]:
-        """Memoised hop counts from ``source``, indexed by v-1.
+    @cached_property
+    def distance_row(self) -> Callable[[int], tuple[int, ...]]:
+        """``g.distance_row(source)``: memoised hop counts from ``source``,
+        indexed by v-1.
 
+        This is the row memo's own ``dict`` lookup, so a memoised row is read
+        without a Python-level call, also through ``map(g.distance_row, ...)``.
         The all-pairs matrix shares these row objects, so a row is computed
         by at most one BFS per graph whichever is asked for first.
         """
-        row = self._rows.get(source)
-        if row is None:
-            row = self._rows[source] = tuple(bfs_distances(self, source))
-        return row
+        return _RowMemo(self.adjacency).__getitem__
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -68,6 +67,22 @@ class Graph:
 
     def is_connected(self) -> bool:
         return UNREACHABLE not in self.distance_row(1)
+
+
+class _RowMemo(dict[int, tuple[int, ...]]):
+    """Distance rows by source vertex; looking up a missing row runs its BFS.
+
+    The memo holds the adjacency rather than its graph, so the two form no
+    reference cycle.
+    """
+
+    def __init__(self, adjacency: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.adjacency = adjacency
+
+    def __missing__(self, source: int) -> tuple[int, ...]:
+        row = self[source] = tuple(_bfs(self.adjacency, source))
+        return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +123,17 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
     Unreachable vertices get the ``UNREACHABLE`` sentinel.
     """
-    if not 1 <= source <= g.n:
-        raise ValueError(f"source {source} outside 1..{g.n}")
-    dist = [UNREACHABLE] * (g.n + 1)
+    return _bfs(g.adjacency, source)
+
+
+def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop counts from ``source`` over a 1-based adjacency (index 0 unused)."""
+    n = len(adj) - 1
+    if not 1 <= source <= n:
+        raise ValueError(f"source {source} outside 1..{n}")
+    dist = [UNREACHABLE] * (n + 1)
     dist[source] = 0
     queue = deque([source])
-    adj = g.adjacency
     while queue:
         u = queue.popleft()
         for w in adj[u]:

@@ -37,8 +37,9 @@ property is re-checked on every call rather than trusted.
 
 from __future__ import annotations
 
+import functools
 import re
-import shlex
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -73,41 +74,50 @@ class LandmarkTable:
     method: str
 
 
-_DOUBLE_BODY = r'(?:[^"\\]|\\.)*'  # inside double quotes: any character but " and \, or an escape
-_LEXEME = re.compile(
-    rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{_DOUBLE_BODY}")+)"""  # a word: bare, escaped and quoted pieces
-    r"|#[^\n]*"  # a comment, to the end of the line
-    rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
-    r"""|(['"]).*""",  # an unclosed quote
-    re.DOTALL,
-)
-_PIECE = re.compile(rf"""'([^']*)'|"({_DOUBLE_BODY})"|\\(.)""", re.DOTALL)
-_DOUBLE_ESCAPE = re.compile(r'\\([\\"])')
+@functools.cache
+def _line_splitter() -> Callable[[str], list[str]]:
+    """The line tokenizer: ``split(line)`` gives the tokens of one line, as
+    ``shlex.split(line, comments=True)`` gives them, and raises
+    ``ValueError`` with shlex's message on a malformed line.
 
+    Its patterns are compiled on the first call, since only parsing needs
+    them, so importing the package for any other command does not pay for
+    them.  The cache publishes the finished tokenizer at once, so threads
+    that parse their first networks together never see half of it.
+    """
+    double_body = r'(?:[^"\\]|\\.)*'  # inside double quotes: any character but " and \, or an escape
+    lexeme = re.compile(
+        rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{double_body}")+)"""  # a word: bare, escaped and quoted pieces
+        r"|#[^\n]*"  # a comment, to the end of the line
+        rf'|((?:\\|"{double_body}\\)\Z)'  # a trailing backslash, outside or inside double quotes
+        r"""|(['"]).*""",  # an unclosed quote
+        re.DOTALL,
+    )
+    piece = re.compile(rf"""'([^']*)'|"({double_body})"|\\(.)""", re.DOTALL)
+    double_escape = re.compile(r'\\([\\"])')
 
-def _piece_text(m: re.Match) -> str:
-    single, double, escaped = m.groups()
-    if double is not None:
-        return _DOUBLE_ESCAPE.sub(r"\1", double)
-    return single if single is not None else escaped
+    def piece_text(m: re.Match) -> str:
+        single, double, escaped = m.groups()
+        if double is not None:
+            return double_escape.sub(r"\1", double)
+        return single if single is not None else escaped
 
+    def split(line: str) -> list[str]:
+        tokens = []
+        for word, no_escaped, no_closing in lexeme.findall(line):
+            if word:
+                if "\\" in word or '"' in word:
+                    word = piece.sub(piece_text, word)
+                elif "'" in word:
+                    word = word.replace("'", "")
+                tokens.append(word)
+            elif no_escaped:
+                raise ValueError("No escaped character")
+            elif no_closing:
+                raise ValueError("No closing quotation")
+        return tokens
 
-def _split_line(line: str) -> list[str]:
-    """Tokens of one line, as ``shlex.split(line, comments=True)`` gives
-    them; raises ``ValueError`` with shlex's message on a malformed line."""
-    tokens = []
-    for word, no_escaped, no_closing in _LEXEME.findall(line):
-        if word:
-            if "\\" in word or '"' in word:
-                word = _PIECE.sub(_piece_text, word)
-            elif "'" in word:
-                word = word.replace("'", "")
-            tokens.append(word)
-        elif no_escaped:
-            raise ValueError("No escaped character")
-        elif no_closing:
-            raise ValueError("No closing quotation")
-    return tokens
+    return split
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -118,9 +128,10 @@ def parse_network(text: str) -> NetworkSpec:
     seen_nodes: set[str] = set()
     links: list[tuple[str, str]] = []
     seen_links: set[tuple[str, str]] = set()
+    split_line = _line_splitter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = _split_line(raw)
+            tokens = split_line(raw)
         except ValueError as exc:
             raise NetworkParseError(lineno, f"unparsable line ({exc})") from exc
         if not tokens:
@@ -182,6 +193,8 @@ def format_network(spec: NetworkSpec) -> str:
         if key in linked:
             raise ValueError(f"duplicate link {a!r} -- {b!r}")
         linked.add(key)
+    import shlex  # only writing network text quotes names; parsing never needs shlex
+
     lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
     lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
     return "\n".join(lines) + "\n"

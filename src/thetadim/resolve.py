@@ -16,6 +16,13 @@ one the full enumeration finds:
 - the n - k vertices outside a resolving set of size k have distinct vectors
   in {1..D}^k, so n <= D^k + k for a graph of diameter D (Khuller,
   Raghavachari & Rosenfeld, "Landmarks in graphs", 1996).
+
+The oracle reads distance rows on demand from the graph's memo, so a search
+that finds its witness early computes only the rows it tested.  The
+diameter bound needs every row only when nothing cheaper settles it: at
+size 1 it holds exactly for paths (D = n - 1), which the edge count and
+degrees show, and at a larger size the eccentricity of vertex 1, at most D,
+settles it whenever it already meets the bound.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .graphs import DistanceMatrix, Graph, all_pairs
+from .graphs import DistanceMatrix, Graph
 
 #: Largest vertex count the exhaustive oracle accepts by default.
 DEFAULT_ORACLE_CAP = 24
@@ -136,7 +143,14 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
       2010);
     - sizes k with D^k + k < n, since a graph of diameter D with a resolving
       set of size k has at most D^k + k vertices (Khuller, Raghavachari &
-      Rosenfeld 1996).
+      Rosenfeld 1996).  At size 1 this says that only a path (D = n - 1)
+      has dimension 1, which the edge count and degrees show without D.  A
+      larger size is tested when the eccentricity of vertex 1, at most D,
+      already gives ecc(1)^k + k >= n; only otherwise is D computed, from
+      every row.
+
+    Distance rows are read on demand from the graph's memo, so a search
+    that ends early computes only the rows of the candidates it tested.
 
     Requires a connected graph with at most ``cap`` vertices.
     """
@@ -145,8 +159,10 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
         raise ValueError(f"graph order {n} exceeds the oracle cap {cap}")
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
-    rows = all_pairs(g).d
-    diameter = max(map(max, rows))
+    row_of = g.distance_row  # the memo's own lookup, so map() reads rows in C
+    ecc_1 = max(row_of(1))
+    diameter = None
+    rows = None  # every vertex's row, once D is needed or a size has no witness
     classes = _twin_classes(g)
     # Vertex v of the i-th twin class weighs 2^(width*i), so the vertices a
     # candidate leaves out weigh their count per class, each in a digit of its
@@ -161,16 +177,30 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
     two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
     vertices = range(1, n + 1)
     for k in range(max(1, sum(len(T) - 1 for T in classes)), n + 1):
-        if diameter**k + k < n:
-            continue
+        if k == 1:
+            # D + 1 >= n holds only for a path: n - 1 edges, degrees <= 2.
+            if len(g.edges) != n - 1 or max(map(len, g.adjacency)) > 2:
+                continue
+        elif ecc_1**k + k < n:
+            if diameter is None:
+                rows = list(map(row_of, vertices))
+                diameter = max(map(max, rows))
+            if diameter**k + k < n:
+                continue
         # The enumerations run in the same lexicographic order, so each
-        # candidate set arrives with its landmark rows, rows[w - 1] for w,
-        # and its weights.
-        for cand, cand_rows, cand_weights in zip(
-            itertools.combinations(vertices, k), itertools.combinations(rows, k), itertools.combinations(weights, k)
+        # candidate set arrives with its weights, and with its rows once the
+        # search holds every row.  Until then a candidate reads its rows
+        # through the memo only when the twin filter lets it be tested.
+        cand_rows = itertools.repeat(None) if rows is None else itertools.combinations(rows, k)
+        for cand, landmark_rows, cand_weights in zip(
+            itertools.combinations(vertices, k), cand_rows, itertools.combinations(weights, k)
         ):
             if (total - sum(cand_weights)) & two_or_more:
                 continue
-            if _resolves(cand_rows, n):
+            if _resolves(landmark_rows or map(row_of, cand), n):
                 return BasisResult(dimension=k, witness=cand)
+        # A search that outlives a size has read nearly every row already,
+        # and handing each candidate its rows is faster than looking them up.
+        if rows is None:
+            rows = list(map(row_of, vertices))
     raise AssertionError("unreachable: the full vertex set always resolves")

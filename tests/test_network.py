@@ -2,6 +2,8 @@
 
 import random
 import shlex
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,11 @@ from thetadim import (
     network_graph,
     parse_network,
 )
-from thetadim.network import _split_line
+from thetadim import network
+
+def _split_line(line):
+    return network._line_splitter()(line)
+
 
 TWO_NODES = """
 node a
@@ -153,6 +159,33 @@ def test_well_formed_lines_never_reach_shlex(monkeypatch):
         links=tuple((names[u], names[v]) for u, v in sorted(g.edges)),
     )
     assert parse_network(format_network(spec)) == spec
+
+
+def test_first_line_splits_are_thread_safe():
+    # The tokenizer compiles on the first split; threads that split their
+    # first lines together must each get all of it, quote handling included.
+    line = r"""node "a \"b\"" 'c d' e\ f  # note"""
+    expected = ["node", 'a "b"', "c d", "e f"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            network._line_splitter.cache_clear()
+            start = threading.Barrier(8)
+            results = []
+
+            def split():
+                start.wait()
+                results.append(_split_line(line))
+
+            threads = [threading.Thread(target=split) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @st.composite

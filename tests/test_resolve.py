@@ -327,3 +327,25 @@ def test_diameter_bound_skips_small_sizes_on_petersen(resolves_calls):
     # Diameter 2: 2^1 + 1 and 2^2 + 2 are below 10, so sizes 1 and 2 are never tried.
     assert metric_dimension_oracle(petersen()).dimension == 3
     assert resolves_calls and min(resolves_calls) == 3
+
+
+def test_only_paths_test_size_one(resolves_calls):
+    # D + 1 >= n holds only for paths, so each path tests the single
+    # candidate [1] and resolves, and no cycle tests a size-1 candidate.
+    for n in range(1, 9):
+        resolves_calls.clear()
+        assert metric_dimension_oracle(path(n)) == BasisResult(1, (1,))
+        assert resolves_calls == [1], n
+    for n in range(3, 10):
+        resolves_calls.clear()
+        assert metric_dimension_oracle(cycle(n)).dimension == 2
+        assert resolves_calls and 1 not in resolves_calls, n
+
+
+def test_oracle_reads_rows_without_the_matrix(no_matrix):
+    # The oracle computes rows through the graph's memo on demand, even when
+    # it needs the exact diameter or tests every candidate of a size.
+    for p, q, r in valid_triples(14):
+        metric_dimension_oracle(build_c(p, q, r))
+    assert metric_dimension_oracle(petersen()).dimension == 3
+    assert metric_dimension_oracle(complete_bipartite(5, 5)).dimension == 8

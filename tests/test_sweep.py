@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import io
+import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,17 @@ def test_report_bytes_are_pinned():
         assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
 
 
+def test_report_bytes_match_the_benchmark_pins_up_to_the_oracle_cap():
+    # The benchmark pins the n <= 24 summary and report digests; a speed-up
+    # must leave every report byte as it is.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+    pin = json.loads(path.read_text())["sweep"]["24"]
+    report = sweep(24)
+    assert asdict(report.summary) == pin["summary"]
+    for fmt in ("json", "csv"):
+        assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == pin[f"{fmt}_sha256"], fmt
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report(sweep(3), fmt="xml")
@@ -138,17 +152,34 @@ def test_elapsed_excluded_from_equality_and_serialization():
     assert '"elapsed"' not in emit_report(report)
 
 
-def test_check_triple_runs_one_bfs_per_vertex(monkeypatch):
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The source of every BFS run, in order."""
     sources = []
-    bfs = graphs.bfs_distances
+    bfs = graphs._bfs
 
-    def counting(g, source):
+    def counting(adj, source):
         sources.append(source)
-        return bfs(g, source)
+        return bfs(adj, source)
 
-    monkeypatch.setattr(graphs, "bfs_distances", counting)
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    return sources
+
+
+def test_check_triple_runs_one_bfs_per_vertex(bfs_sources):
     record = check_triple(3, 7, 3)
+    assert record.oracle_dim == 3
     assert record.basis_ok and record.basis_minimal
-    # The oracle reads every row; the basis, minimality and table checks
-    # reuse them instead of running BFS again.
-    assert sorted(sources) == list(range(1, record.n + 1))
+    # C_{3,7,3} has dimension 3, so the oracle tests every pair of vertices
+    # and reads every row; the basis, minimality and table checks reuse them
+    # instead of running BFS again.
+    assert sorted(bfs_sources) == list(range(1, record.n + 1))
+
+
+def test_early_witness_computes_only_the_rows_it_reads(bfs_sources):
+    assert metric_dimension_oracle(build_c(4, 4, 4)).witness == (1, 4)
+    bfs_sources.clear()
+    record = check_triple(4, 4, 4)
+    # The oracle stops at the witness (1, 4) having read rows 1..4 only; the
+    # other checks reuse memoised rows, so no row is computed twice.
+    assert len(bfs_sources) == len(set(bfs_sources)) < record.n
