@@ -34,7 +34,6 @@ from .network import (
     parse_network,
 )
 from .resolve import (
-    DEFAULT_ORACLE_CAP,
     BasisResult,
     is_minimal_resolving,
     is_resolving,
@@ -60,8 +59,6 @@ from .theta import (
     ThetaShape,
     build_c,
     detect_theta,
-    swap_isomorphism,
-    theta_parameterizations,
     to_theta_lengths,
     validate_params,
 )
@@ -70,7 +67,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CASE_TAGS",
-    "DEFAULT_ORACLE_CAP",
     "UNREACHABLE",
     "BasisResult",
     "ClosedFormResult",
@@ -109,9 +105,7 @@ __all__ = [
     "parse_report",
     "recompute_summary",
     "representation",
-    "swap_isomorphism",
     "sweep",
-    "theta_parameterizations",
     "to_theta_lengths",
     "unresolved_pair",
     "valid_triples",

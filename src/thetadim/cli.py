@@ -1,41 +1,47 @@
 """Command-line interface.
 
+Every command has a bounded cost.  ``build``, ``check`` and ``dim --oracle``
+refuse a graph above ``MAX_ORDER`` vertices before building it, and
+``sweep`` a range above ``MAX_SWEEP_N``.  The exhaustive oracle, which
+``dim --oracle``, ``sweep`` and ``landmarks`` on a non-theta network run,
+refuses any search level whose C(n, k) candidates of n vertices each are
+over its work budget, ``resolve.ORACLE_LEVEL_BUDGET``.
+
 Exit codes: 0 on success, 1 on domain errors (invalid parameters, a
-non-resolving set reported by ``check``, disconnected or oversized
-networks, a graph above the size limit), 2 on usage and parse errors.
-All structured output is line-oriented and stable, so it can be pinned
-by golden-file tests.
+non-resolving set reported by ``check``, disconnected networks, a graph or
+range above its limit, an oracle search over its budget), 2 on usage and
+parse errors and on files that cannot be read or written.  All structured
+output is line-oriented and stable, so it can be pinned by golden-file
+tests.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .closed_form import closed_form_basis
 from .graphs import Graph
 from .network import NetworkParseError, assign_landmarks, parse_network
-from .resolve import (
-    DEFAULT_ORACLE_CAP,
-    is_minimal_resolving,
-    is_resolving,
-    metric_dimension_oracle,
-    unresolved_pair,
-)
+from .resolve import is_minimal_resolving, metric_dimension_oracle, unresolved_pair
 from .sweep import emit_report, sweep
 from .theta import build_c
 
-#: Largest order ``build`` and ``check`` accept; ``build`` prints all n + 1
-#: edges and ``check`` runs one BFS per landmark, O(n·k).
+#: Largest order ``build``, ``check`` and ``dim --oracle`` accept; ``build``
+#: prints all n + 1 edges and ``check`` runs one BFS per landmark, O(n·k).
 MAX_ORDER = 2000
 
+#: Largest ``sweep --max-n``; the sweep's cost grows as about n^5.
+MAX_SWEEP_N = 24
 
-def _bounded_graph(args, limit: int, what: str) -> Graph:
+
+def _bounded_graph(args) -> Graph:
     """``C_{p,q,r}`` of the arguments, refused before it is built when its
-    order exceeds ``limit``."""
+    order exceeds ``MAX_ORDER``."""
     n = args.p + args.q + args.r
-    if n > limit:
-        raise ValueError(f"graph order {n} exceeds the {what} {limit}")
+    if n > MAX_ORDER:
+        raise ValueError(f"graph order {n} exceeds the size limit {MAX_ORDER}")
     return build_c(args.p, args.q, args.r)
 
 
@@ -44,16 +50,6 @@ def _vertex_set(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _oracle_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"oracle cap must be at least 1, got {cap}")
-    return cap
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "dim":
             cmd.add_argument("--oracle", action="store_true",
                              help="also run the exhaustive oracle")
-            cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
         if name == "check":
             cmd.add_argument("--set", dest="vertex_set", type=_vertex_set, required=True,
                              metavar="V1,V2,...", help="landmark candidates")
@@ -85,16 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--max-n", type=int, required=True)
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
     cmd.add_argument("--out", help="write the report here instead of stdout")
-    cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
 
     cmd = sub.add_parser("landmarks", help="assign landmark codes to a network file")
     cmd.add_argument("file", help="network description file")
-    cmd.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP)
     return parser
 
 
 def _cmd_build(args) -> int:
-    g = _bounded_graph(args, MAX_ORDER, "size limit")
+    g = _bounded_graph(args)
     for u, v in sorted(g.edges):
         print(u, v)
     return 0
@@ -104,8 +97,7 @@ def _cmd_dim(args) -> int:
     result = closed_form_basis(args.p, args.q, args.r)
     print(result.dimension, result.case.tag)
     if args.oracle:
-        g = _bounded_graph(args, args.oracle_cap, "oracle cap")
-        print("oracle", metric_dimension_oracle(g, cap=args.oracle_cap).dimension)
+        print("oracle", metric_dimension_oracle(_bounded_graph(args)).dimension)
     return 0
 
 
@@ -116,7 +108,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    g = _bounded_graph(args, MAX_ORDER, "size limit")
+    g = _bounded_graph(args)
     pair = unresolved_pair(g, args.vertex_set)
     if pair is not None:
         print("unresolved", pair[0], pair[1])
@@ -127,13 +119,16 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = sweep(args.max_n, oracle_cap=args.oracle_cap)
-    text = emit_report(report, fmt=args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if args.max_n > MAX_SWEEP_N:
+        raise ValueError(f"max_n {args.max_n} exceeds the sweep limit {MAX_SWEEP_N}")
+    try:
+        # The report file is opened before the sweep runs, so a bad path
+        # fails at once.
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(emit_report(sweep(args.max_n), fmt=args.format))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -148,7 +143,7 @@ def _cmd_landmarks(args) -> int:
         print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return 2
     spec = parse_network(text)
-    table = assign_landmarks(spec, oracle_cap=args.oracle_cap)
+    table = assign_landmarks(spec)
     print("method", table.method, sep="\t")
     print("landmarks", *table.landmarks, sep="\t")
     for name in spec.nodes:

@@ -45,7 +45,7 @@ from importlib import resources
 
 from .closed_form import closed_form_basis
 from .graphs import Graph, new_graph
-from .resolve import DEFAULT_ORACLE_CAP, metric_dimension_oracle
+from .resolve import metric_dimension_oracle
 from .theta import detect_theta
 
 
@@ -212,12 +212,12 @@ def network_graph(spec: NetworkSpec) -> Graph:
     return g
 
 
-def assign_landmarks(spec: NetworkSpec, oracle_cap: int = DEFAULT_ORACLE_CAP) -> LandmarkTable:
+def assign_landmarks(spec: NetworkSpec) -> LandmarkTable:
     """Compute landmarks and per-node codes for a connected network.
 
     Theta-shaped networks take the closed-form fast path (method records the
     case tag); everything else falls back to the exhaustive oracle, which
-    requires at most ``oracle_cap`` nodes.
+    raises ``ValueError`` when a search level is over its work budget.
     """
     g = network_graph(spec)
     shape = detect_theta(g)
@@ -228,7 +228,7 @@ def assign_landmarks(spec: NetworkSpec, oracle_cap: int = DEFAULT_ORACLE_CAP) ->
         basis = sorted(original[b] for b in result.basis)
         method = f"closed-form ({result.case.tag})"
     else:
-        oracle = metric_dimension_oracle(g, cap=oracle_cap)
+        oracle = metric_dimension_oracle(g)
         basis = sorted(oracle.witness)
         method = "oracle"
     codes = dict(zip(spec.nodes, zip(*(g.distance_row(w) for w in basis))))

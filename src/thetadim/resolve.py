@@ -23,18 +23,29 @@ diameter bound needs every row only when nothing cheaper settles it: at
 size 1 it holds exactly for paths (D = n - 1), which the edge count and
 degrees show, and at a larger size the eccentricity of vertex 1, at most D,
 settles it whenever it already meets the bound.
+
+The metric dimension of every theta graph is 2 or 3, so the search is small
+there; on other graphs a size level k can test C(n, k) candidates.  The
+oracle bounds its own work: it refuses, with ``ValueError``, to start a
+level whose C(n, k) candidates of n vertices each are over
+``ORACLE_LEVEL_BUDGET``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .graphs import DistanceMatrix, Graph
 
-#: Largest vertex count the exhaustive oracle accepts by default.
-DEFAULT_ORACLE_CAP = 24
+#: Most work one size level of the oracle may take, in candidate-vertex
+#: units: level k of an n-vertex graph costs C(n, k) * n, since it tests up to
+#: C(n, k) candidates and each reads n vertices' vectors.  This is the cost of
+#: the costliest level on 24 vertices, so every graph of at most 24 vertices
+#: is searched in full.
+ORACLE_LEVEL_BUDGET = math.comb(24, 12) * 24
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return [group for group in groups.values() if len(group) > 1]
 
 
-def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisResult:
+def metric_dimension_oracle(g: Graph) -> BasisResult:
     """Exact metric dimension by exhaustive subset enumeration.
 
     Candidate sets are tried in increasing size, lexicographically within a
@@ -152,11 +163,13 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
     Distance rows are read on demand from the graph's memo, so a search
     that ends early computes only the rows of the candidates it tested.
 
-    Requires a connected graph with at most ``cap`` vertices.
+    Requires a connected graph.  Before size level k reads any row, its
+    diameter step included, the oracle raises ``ValueError`` when the level
+    costs more than ``ORACLE_LEVEL_BUDGET``, at C(n, k) * n.  So every graph
+    of at most 24 vertices is searched in full, theta graphs to size 3 up to
+    n = 141 and to size 2 up to n = 506, and paths to size 1 up to n = 8056.
     """
     n = g.n
-    if n > cap:
-        raise ValueError(f"graph order {n} exceeds the oracle cap {cap}")
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
     row_of = g.distance_row  # the memo's own lookup, so map() reads rows in C
@@ -177,6 +190,12 @@ def metric_dimension_oracle(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> BasisRes
     two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
     vertices = range(1, n + 1)
     for k in range(max(1, sum(len(T) - 1 for T in classes)), n + 1):
+        cost = math.comb(n, k) * n
+        if cost > ORACLE_LEVEL_BUDGET:
+            raise ValueError(
+                f"oracle size {k} on {n} vertices costs {cost:,} candidate-vertex units, "
+                f"over the budget of {ORACLE_LEVEL_BUDGET:,}"
+            )
         if k == 1:
             # D + 1 >= n holds only for a path: n - 1 edges, degrees <= 2.
             if len(g.edges) != n - 1 or max(map(len, g.adjacency)) > 2:

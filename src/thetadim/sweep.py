@@ -18,11 +18,11 @@ import csv
 import io
 import json
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 
-from .closed_form import closed_form_basis, dispatch_case, formula_representation
-from .resolve import DEFAULT_ORACLE_CAP, is_minimal_resolving, is_resolving, metric_dimension_oracle
+from .closed_form import closed_form_basis, formula_representation
+from .resolve import is_minimal_resolving, is_resolving, metric_dimension_oracle
 from .theta import build_c, validate_params
 
 SCHEMA = "thetadim-sweep/1"
@@ -75,7 +75,6 @@ class SweepSummary:
 @dataclass(frozen=True)
 class SweepReport:
     max_n: int
-    filters: str | None
     records: tuple[SweepRecord, ...]
     summary: SweepSummary
 
@@ -102,12 +101,12 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
                     yield (p, q, r)
 
 
-def check_triple(p: int, q: int, r: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -> SweepRecord:
+def check_triple(p: int, q: int, r: int) -> SweepRecord:
     """Run every closed-form-vs-oracle check for one triple."""
     start = time.perf_counter()
     result = closed_form_basis(p, q, r)
     g = build_c(p, q, r)
-    oracle = metric_dimension_oracle(g, cap=oracle_cap)
+    oracle = metric_dimension_oracle(g)
     basis_ok = is_resolving(g, result.basis)
     basis_minimal = bool(basis_ok and is_minimal_resolving(g, result.basis))
 
@@ -135,45 +134,10 @@ def check_triple(p: int, q: int, r: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -
     )
 
 
-def sweep(
-    max_n: int,
-    *,
-    cases: Iterable[str] | None = None,
-    param_filter: Callable[[int, int, int], bool] | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> SweepReport:
-    """Check every valid triple with p+q+r <= max_n, in deterministic order.
-
-    ``cases`` restricts to the given case tags; ``param_filter`` is an
-    arbitrary predicate on (p, q, r).  Raises ``ValueError`` when the range
-    exceeds the oracle cap.
-    """
-    if max_n > oracle_cap:
-        raise ValueError(f"max_n {max_n} exceeds the oracle cap {oracle_cap}")
-    wanted = None if cases is None else frozenset(cases)
-    records: list[SweepRecord] = []
-    for p, q, r in valid_triples(max_n):
-        if wanted is not None and dispatch_case(p, q, r).tag not in wanted:
-            continue
-        if param_filter is not None and not param_filter(p, q, r):
-            continue
-        records.append(check_triple(p, q, r, oracle_cap=oracle_cap))
-    filters = _describe_filters(wanted, param_filter)
-    return SweepReport(
-        max_n=max_n,
-        filters=filters,
-        records=tuple(records),
-        summary=recompute_summary(records),
-    )
-
-
-def _describe_filters(wanted: frozenset[str] | None, param_filter) -> str | None:
-    parts = []
-    if wanted is not None:
-        parts.append("cases=" + ",".join(sorted(wanted)))
-    if param_filter is not None:
-        parts.append("param_filter=custom")
-    return " ".join(parts) or None
+def sweep(max_n: int) -> SweepReport:
+    """Check every valid triple with p+q+r <= max_n, in deterministic order."""
+    records = tuple(check_triple(p, q, r) for p, q, r in valid_triples(max_n))
+    return SweepReport(max_n=max_n, records=records, summary=recompute_summary(records))
 
 
 _PARAMS = ("p", "q", "r")
@@ -218,7 +182,7 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
         payload = {
             "schema": SCHEMA,
             "max_n": report.max_n,
-            "filters": report.filters,
+            "filters": None,  # always null; a key of the thetadim-sweep/1 schema
             "summary": report.summary,
             "records": [{name: _field(rec, name) for name in _RECORD_FIELDS} for rec in report.records],
         }
@@ -249,6 +213,8 @@ def parse_report(text: str) -> SweepReport:
     payload = json.loads(text)
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected report schema {payload.get('schema')!r}")
+    if payload["filters"] is not None:
+        raise ValueError(f"unexpected report filters {payload['filters']!r}")
     records = tuple(
         _from_json(
             SweepRecord,
@@ -260,7 +226,6 @@ def parse_report(text: str) -> SweepReport:
     )
     return SweepReport(
         max_n=payload["max_n"],
-        filters=payload["filters"],
         records=records,
         summary=_from_json(SweepSummary, payload["summary"]),
     )

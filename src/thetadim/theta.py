@@ -115,23 +115,15 @@ def to_theta_lengths(p: int, q: int, r: int) -> tuple[int, int, int]:
 def _swap(p: int, q: int, r: int, v: int) -> int:
     """Image of vertex ``v`` of ``C_{p,q,r}`` under the swap onto ``C_{r,q,p}``.
 
-    ``_swap(r, q, p, ·)`` is the inverse map.
+    Outer paths trade places, the middle path keeps its order, and hubs map
+    onto hubs; the map is adjacency-preserving.  ``_swap(r, q, p, ·)`` is
+    the inverse map.
     """
     if v <= p:
         return r + q + v
     if v <= p + q:
         return r + v - p
     return v - p - q
-
-
-def swap_isomorphism(p: int, q: int, r: int) -> dict[int, int]:
-    """Vertex bijection from ``C_{p,q,r}`` labels onto ``C_{r,q,p}`` labels.
-
-    Outer paths trade places, the middle path keeps its order, and hubs map
-    onto hubs; the map is adjacency-preserving.
-    """
-    _require_valid(p, q, r)
-    return {v: _swap(p, q, r, v) for v in range(1, p + q + r + 1)}
 
 
 def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
@@ -168,12 +160,6 @@ def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     return hub_a, hub_b, chains
 
 
-def _middle_order(chains: list[tuple[int, ...]]) -> list[int]:
-    """Chain indices by (path length, internal labels): the preference order
-    of the middle path."""
-    return sorted(range(3), key=lambda i: (len(chains[i]), chains[i]))
-
-
 def _shape(hub_a: int, hub_b: int, chains: list[tuple[int, ...]], mi: int) -> ThetaShape:
     """The parameterization with chain ``mi`` as the middle path; the longer
     outer path becomes outer-one."""
@@ -199,28 +185,13 @@ def _shape(hub_a: int, hub_b: int, chains: list[tuple[int, ...]], mi: int) -> Th
     )
 
 
-def theta_parameterizations(g: Graph) -> list[ThetaShape]:
-    """All three C-parameterizations of a theta graph, preferred order first.
-
-    Each hub-to-hub path can play the middle role, giving one shape per
-    choice.  Shapes are ordered by (path length, internal labels) of the
-    chosen middle, so the shortest path is the default middle; within one
-    shape the longer outer path becomes outer-one.  Returns an empty list
-    when ``g`` is not a theta graph.
-    """
-    probe = _hub_chains(g)
-    if probe is None:
-        return []
-    hub_a, hub_b, chains = probe
-    return [_shape(hub_a, hub_b, chains, mi) for mi in _middle_order(chains)]
-
-
 def detect_theta(g: Graph) -> ThetaShape | None:
     """Recognize a theta graph and return its preferred parameterization.
 
     The preferred shape takes the shortest hub-to-hub path as the middle
-    path (hub_a being the degree-3 vertex with the smaller original label),
-    which is the parameterization the closed-form dispatcher consumes.
+    path, ties broken by internal labels (hub_a being the degree-3 vertex
+    with the smaller original label), which is the parameterization the
+    closed-form dispatcher consumes.
     Returns None when ``g`` is not a theta graph; that outcome is a result,
     not an error.
     """
@@ -228,4 +199,5 @@ def detect_theta(g: Graph) -> ThetaShape | None:
     if probe is None:
         return None
     hub_a, hub_b, chains = probe
-    return _shape(hub_a, hub_b, chains, _middle_order(chains)[0])
+    middle = min(range(3), key=lambda i: (len(chains[i]), chains[i]))
+    return _shape(hub_a, hub_b, chains, middle)

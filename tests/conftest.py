@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from thetadim import Graph, new_graph
+from thetadim import Graph, graphs, new_graph
 
 
 @st.composite
@@ -22,3 +22,17 @@ def no_matrix(monkeypatch):
     def refuse(g):
         raise AssertionError(f"all-pairs matrix built for a {g.n}-vertex graph")
     monkeypatch.setattr(Graph, "_distance_matrix", property(refuse))
+
+
+@pytest.fixture
+def bfs_sources(monkeypatch):
+    """The source of every BFS run, in order."""
+    sources = []
+    bfs = graphs._bfs
+
+    def counting(adj, source):
+        sources.append(source)
+        return bfs(adj, source)
+
+    monkeypatch.setattr(graphs, "_bfs", counting)
+    return sources

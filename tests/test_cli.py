@@ -36,6 +36,13 @@ def test_dim_with_oracle(capsys):
     assert out == "3 T4-P1\noracle 3\n"
 
 
+def test_dim_with_oracle_above_24_vertices(capsys):
+    # n = 38: the oracle's work budget, not a vertex count, bounds the search.
+    code, out, _ = run(capsys, "dim", "12", "14", "12", "--oracle")
+    assert code == 0
+    assert out == "3 T4-P1\noracle 3\n"
+
+
 def test_basis_line(capsys):
     code, out, _ = run(capsys, "basis", "5", "3", "4")
     assert code == 0
@@ -90,6 +97,22 @@ def test_sweep_empty_range(capsys):
     payload = json.loads(out)
     assert payload["records"] == []
     assert payload["summary"]["records"] == 0
+
+
+def test_sweep_range_above_limit_is_refused(capsys):
+    code, out, err = run(capsys, "sweep", "--max-n", str(cli.MAX_SWEEP_N + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: max_n {cli.MAX_SWEEP_N + 1} exceeds the sweep limit {cli.MAX_SWEEP_N}\n"
+
+
+@pytest.mark.parametrize("target", [".", "missing/report.json"])
+def test_sweep_unwritable_out_exit_two_before_sweeping(tmp_path, monkeypatch, capsys, target):
+    def refuse(max_n):
+        raise AssertionError("swept before opening --out")
+    monkeypatch.setattr(cli, "sweep", refuse)
+    code, out, err = run(capsys, "sweep", "--max-n", "5", "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_sweep_csv_to_file(tmp_path, capsys):
@@ -179,8 +202,8 @@ def test_landmarks_fuzz_ends_in_a_documented_exit_code(tmp_path_factory, text):
     assert (code == 0) == (err.getvalue() == "")
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_oracle_cap_below_one_is_usage_error(tmp_path, capsys, cap):
+@pytest.mark.parametrize("cap", ["0", "-1", "5"])
+def test_oracle_cap_option_is_a_usage_error(tmp_path, capsys, cap):
     # K_4 is no theta graph, so landmarks would need the oracle.
     net = tmp_path / "k4.net"
     net.write_text(
@@ -190,7 +213,7 @@ def test_oracle_cap_below_one_is_usage_error(tmp_path, capsys, cap):
     for argv in (["dim", "3", "7", "3", "--oracle"], ["sweep", "--max-n", "5"], ["landmarks", str(net)]):
         code, out, err = run(capsys, *argv, "--oracle-cap", cap)
         assert (code, out) == (2, ""), argv
-        assert "oracle cap must be at least 1" in err
+        assert "unrecognized arguments: --oracle-cap" in err
 
 
 def test_cli_start_up_does_not_import_numpy():
@@ -227,7 +250,7 @@ def test_order_at_size_limit_is_built(capsys):
 def test_dim_oracle_refuses_oversized_graph_unbuilt(capsys, no_build):
     code, out, err = run(capsys, "dim", "1000000", "5", "1", "--oracle")
     assert (code, out) == (1, "2 T3-P3\n")
-    assert err == "error: graph order 1000006 exceeds the oracle cap 24\n"
+    assert err == f"error: graph order 1000006 exceeds the size limit {cli.MAX_ORDER}\n"
 
 
 @pytest.mark.parametrize("landmarks, expected", [

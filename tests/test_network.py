@@ -317,10 +317,16 @@ def test_closed_form_and_oracle_agree_on_theta_networks():
         assert len(table.landmarks) == metric_dimension_oracle(g).dimension
 
 
-def test_oversized_non_theta_network_rejected():
-    with pytest.raises(ValueError, match="cap"):
-        assign_landmarks(path_spec(30))
-    assert assign_landmarks(path_spec(30), oracle_cap=30).landmarks == ("n1",)
+def test_oversized_non_theta_network_rejected(bfs_sources):
+    # Size 1 of a 3000-cycle costs 3000^2 units and is skipped, since only a
+    # path has dimension 1; size 2 costs C(3000, 2) * 3000 and is refused
+    # after vertex 1's row, the only one read.
+    names = tuple(f"n{i}" for i in range(3000))
+    spec = NetworkSpec(nodes=names, links=tuple(zip(names, names[1:] + names[:1])))
+    with pytest.raises(ValueError, match="oracle size 2 on 3000 vertices"):
+        assign_landmarks(spec)
+    assert bfs_sources == [1]
+    assert assign_landmarks(path_spec(30)).landmarks == ("n1",)
 
 
 def test_theta_landmark_codes_come_from_landmark_rows_only(no_matrix):

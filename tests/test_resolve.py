@@ -1,6 +1,7 @@
 """Representations, resolving-set checks, and the exhaustive oracle."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -143,9 +144,24 @@ def test_oracle_rejects_disconnected():
         metric_dimension_oracle(new_graph(3, [(1, 2)]))
 
 
-def test_oracle_rejects_oversized():
-    with pytest.raises(ValueError):
-        metric_dimension_oracle(path(7), cap=6)
+def test_oracle_rejects_oversized(bfs_sources):
+    # Level k costs C(n, k) * n.  Each graph is refused at its first level
+    # over the budget, the first level searched, having read only vertex 1's row.
+    for g, k in ((path(8057), 1), (build_c(250, 7, 250), 2)):
+        bfs_sources.clear()
+        with pytest.raises(ValueError, match=f"oracle size {k} on {g.n} vertices"):
+            metric_dimension_oracle(g)
+        assert bfs_sources == [1], g.n
+    # C_{48,48,46} has dimension 3: size 2 is searched in full, size 3 refused.
+    with pytest.raises(ValueError, match="oracle size 3 on 142 vertices"):
+        metric_dimension_oracle(build_c(48, 48, 46))
+
+
+def test_oracle_searches_every_level_within_the_budget():
+    assert resolve.ORACLE_LEVEL_BUDGET == max(math.comb(24, k) * 24 for k in range(25))
+    assert metric_dimension_oracle(path(8056)) == BasisResult(1, (1,))
+    assert metric_dimension_oracle(build_c(250, 6, 250)) == BasisResult(2, (1, 128))
+    assert metric_dimension_oracle(build_c(46, 48, 46)) == BasisResult(3, (1, 2, 48))
 
 
 def test_oracle_agrees_with_special_families():

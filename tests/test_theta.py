@@ -1,6 +1,7 @@
 """Theta-graph construction, parameter validity, the outer-path swap, and
 shape detection."""
 
+import functools
 import random
 
 import pytest
@@ -10,12 +11,11 @@ from thetadim import (
     build_c,
     detect_theta,
     new_graph,
-    swap_isomorphism,
-    theta_parameterizations,
     to_theta_lengths,
     valid_triples,
     validate_params,
 )
+from thetadim import theta
 
 
 def relabel(g, mapping):
@@ -82,30 +82,28 @@ def test_theta_lengths():
 
 
 def test_swap_maps_hub_to_hub():
-    sigma = swap_isomorphism(3, 5, 2)
-    assert sigma[4] == 3
+    assert theta._swap(3, 5, 2, 4) == 3
 
 
 def test_swap_outer_formulas():
-    sigma = swap_isomorphism(3, 5, 2)
-    assert sigma[1] == 8
-    assert sigma[9] == 1
+    assert theta._swap(3, 5, 2, 1) == 8
+    assert theta._swap(3, 5, 2, 9) == 1
 
 
 def test_swap_is_adjacency_preserving_automorphism_on_symmetric_params():
-    sigma = swap_isomorphism(2, 4, 2)
+    sigma = functools.partial(theta._swap, 2, 4, 2)
     g = build_c(2, 4, 2)
-    assert sorted(sigma.values()) == list(range(1, 9))
+    assert sorted(map(sigma, range(1, 9))) == list(range(1, 9))
     for u, v in g.edges:
-        assert g.has_edge(sigma[u], sigma[v])
+        assert g.has_edge(sigma(u), sigma(v))
 
 
 def test_swap_preserves_adjacency_exhaustively():
     for p, q, r in valid_triples(16):
-        sigma = swap_isomorphism(p, q, r)
+        sigma = functools.partial(theta._swap, p, q, r)
         src, dst = build_c(p, q, r), build_c(r, q, p)
-        assert sorted(sigma.values()) == list(range(1, src.n + 1))
-        mapped = {(min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in src.edges}
+        assert sorted(map(sigma, range(1, src.n + 1))) == list(range(1, src.n + 1))
+        mapped = {(min(sigma(u), sigma(v)), max(sigma(u), sigma(v))) for u, v in src.edges}
         assert mapped == dst.edges
 
 
@@ -159,12 +157,12 @@ def test_detect_field_network_arrangement():
 
 
 def test_parameterizations_one_per_middle_choice():
-    shapes = theta_parameterizations(build_c(5, 3, 4))
-    assert len(shapes) == 3
-    assert [(s.params.p, s.params.q, s.params.r) for s in shapes] == [
+    hub_a, hub_b, chains = theta._hub_chains(build_c(5, 3, 4))
+    shapes = [theta._shape(hub_a, hub_b, chains, mi) for mi in range(3)]
+    assert sorted((s.params.p, s.params.q, s.params.r) for s in shapes) == [
+        (4, 7, 1),
         (5, 3, 4),
         (5, 6, 1),
-        (4, 7, 1),
     ]
 
 
@@ -193,15 +191,19 @@ def test_detect_round_trips_exhaustively():
 
 
 def test_detect_returns_the_preferred_parameterization():
+    # The middle is a shortest hub-to-hub path, and the longer outer path
+    # comes first.
     rng = random.Random(7)
     for p, q, r in valid_triples(12):
         g = build_c(p, q, r)
         perm = list(range(1, g.n + 1))
         rng.shuffle(perm)
-        shuffled = relabel(g, dict(zip(range(1, g.n + 1), perm)))
-        assert detect_theta(shuffled) == theta_parameterizations(shuffled)[0], (p, q, r)
+        shape = detect_theta(relabel(g, dict(zip(range(1, g.n + 1), perm))))
+        params = shape.params
+        assert params.q - 1 == min(to_theta_lengths(p, q, r)), (p, q, r)
+        assert params.p >= params.r, (p, q, r)
     cycle = new_graph(5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
-    assert detect_theta(cycle) is None and theta_parameterizations(cycle) == []
+    assert detect_theta(cycle) is None
 
 
 def test_build_size_invariant():
