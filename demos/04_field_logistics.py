@@ -20,9 +20,10 @@ print(f"network: {len(spec.nodes)} fields, {len(spec.links)} routes")
 
 g = network_graph(spec)
 shape = detect_theta(g)
-print(f"theta shape detected: hubs {spec.nodes[shape.hub_a - 1]!r} and "
-      f"{spec.nodes[shape.hub_b - 1]!r}, "
-      f"path counts (p, q, r) = ({shape.params.p}, {shape.params.q}, {shape.params.r})")
+p, q, r = shape.params.p, shape.params.q, shape.params.r
+hub_a, hub_b = shape.labels[p], shape.labels[p + q - 1]  # canonical v_{p+1} and v_{p+q}
+print(f"theta shape detected: hubs {spec.nodes[hub_a - 1]!r} and "
+      f"{spec.nodes[hub_b - 1]!r}, path counts (p, q, r) = ({p}, {q}, {r})")
 
 table = assign_landmarks(spec)
 print(f"\nmethod: {table.method}")

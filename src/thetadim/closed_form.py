@@ -10,10 +10,11 @@ outer swap, since ``C_{p,q,r}`` and ``C_{r,q,p}`` are isomorphic):
     T3        an outer strictly dominant: p > q and p > r
     T4        equal outers: p = r
 
-Each family splits into parts on q - r, giving 15 tags total.  A part
-carries a landmark-set formula W, a partition of the vertices into index
-ranges, and per-range distance-vector formulas.  The dimension is the
-size of W: 3 for tags T2-P2 and T4-P1, 2 for every other part.
+Each family splits into parts on q - r, giving 15 tags total.  One branch
+of ``_case`` states a part as the paper does: a landmark-set formula W, a
+partition of the vertices into index ranges, and per-range distance-vector
+formulas.  The dimension is the size of W: 3 for tags T2-P2 and T4-P1, 2
+for every other part.
 
 The tables are transcribed literally and treated as claims: BFS distances
 are ground truth, and the verification sweep records any divergence as a
@@ -131,39 +132,10 @@ def dispatch_case(p: int, q: int, r: int) -> TheoremCase:
     return TheoremCase(tag=tag, swapped=swapped)
 
 
-def _case_basis(tag: str, p: int, q: int, r: int) -> tuple[int, ...]:
-    """Landmark formula of a case, in dispatch labeling and coordinate order."""
-    if tag == "ZeroPath-P1":
-        return (1, 2)
-    if tag == "ZeroPath-P2":
-        return (1, _fl(p) + 1)
-    if tag in ("T1-P1", "T3-P2", "T4-P2"):
-        return (1, p + 2)
-    if tag in ("T1-P2", "T1-P3", "T2-P3", "T3-P3"):
-        return (1, _fl(p + r) + 1)
-    if tag == "T2-P1":
-        return (1, p)
-    if tag == "T2-P2":
-        return (1, 2, p + 2)
-    if tag == "T3-P1":
-        return (1, _fl(p + q))
-    if tag in ("T4-P3a", "T4-P3b"):
-        second = _fl(p + q)
-        if second == 1:
-            # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses
-            # onto v_1; the hub v_{p+1} is the size-2 completion that stays
-            # resolving there.
-            second = p + 1
-        return (1, second)
-    if tag == "T4-P1":
-        return (1, 2, _fl(q - r) + p + 1)
-    raise ValueError(f"unknown case tag {tag!r}")
-
-
 def closed_form_basis(p: int, q: int, r: int) -> ClosedFormResult:
     """Closed-form metric basis for ``C_{p,q,r}`` in the caller's labeling."""
     tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    landmarks = _case_basis(tag, pp, qq, rr)
+    landmarks, _ = _case(tag, pp, qq, rr)
     if swapped:
         # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
         landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
@@ -186,14 +158,15 @@ def dimension_by_path_lengths(p: int, q: int, r: int) -> int:
 _Cell = tuple[int, int, Callable[[int], tuple[int, ...]]]
 
 
-def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
-    """Partition cells ``(lo, hi, formula)`` of a case, in dispatch labeling.
+def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell]]:
+    """Landmarks W, in coordinate order, and partition cells ``(lo, hi,
+    formula)`` of a case, in dispatch labeling.
 
     Ranges are inclusive and taken literally; a range with lo > hi is empty.
     The formulas substitute the vertex index for A.
     """
     if tag == "ZeroPath-P1":
-        return [
+        return (1, 2), [
             (p, p, lambda A: (1 - A, 2 - A)),
             (p + 1, p + 1, lambda A: (A - 1, 2 - A)),
             (p + 2, p + _ce(q), lambda A: (A - 1, A - 2)),
@@ -202,7 +175,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         ]
     if tag == "ZeroPath-P2":
         h = _fl(p)
-        return [
+        return (1, h + 1), [
             (1, h + 1, lambda A: (A - 1, h + 1 - A)),
             (h + 2, h + 2, lambda A: (A - 1, A - h - 1)),
             (h + 3, p, lambda A: (p + 3 - A, A - h - 1)),
@@ -211,7 +184,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
             (p + _ce(q) + 1, p + q, lambda A: (p + q + 2 - A, 2 * p + q - A - h)),
         ]
     if tag == "T1-P1":
-        return [
+        return (1, p + 2), [
             (1, p - 1, lambda A: (A - 1, A + 1)),
             (p, p, lambda A: (A - 1, p + q - (A + 1))),
             (p + 1, p + 2, lambda A: (A - p, p + 2 - A)),
@@ -221,7 +194,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         ]
     if tag == "T1-P2":
         h = _fl(q - r)
-        return [
+        return (1, _fl(p + r) + 1), [
             (1, p, lambda A: (A - 1, p - A)),
             (p + 1, p + h, lambda A: (A - p, A - 1)),
             (p + 1 + h, p + q - h, lambda A: (A - p, p + q + 1 - A)),
@@ -232,7 +205,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         m = _fl(p + r)
         h = _fl(q - r)
         k = _fl(p - r)
-        return [
+        return (1, m + 1), [
             (1, m + 1, lambda A: (A - 1, m + 1 - A)),
             (m + 2, p + 1 - k, lambda A: (A - 1, A - m - 1)),
             (p + 2 - k, p, lambda A: (p + r + 3 - A, A - m - 1)),
@@ -243,7 +216,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         ]
     if tag == "T2-P1":
         c = _ce(r - q)
-        return [
+        return (1, p), [
             (1, p, lambda A: (A - 1, p - A)),
             (p + 1, p + q, lambda A: (A - p, p + q + 1 - A)),
             (p + q + 1, p + q + c, lambda A: (A + 1 - (p + q), A - q)),
@@ -251,7 +224,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
             (p + q + r + 1 - c, p + q + r, lambda A: (2 * p + q + r + 1 - A, p + q + r + 2 - A)),
         ]
     if tag == "T2-P2":
-        return [
+        return (1, 2, p + 2), [
             (1, 1, lambda A: (A - 1, 2 - A, A + 1)),
             (2, p - 1, lambda A: (A - 1, A - 2, A + 1)),
             (p, p, lambda A: (A - 1, A - 2, A - 1)),
@@ -264,7 +237,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         m = _fl(p + r)
         h = _fl(q - r)
         k = _fl(p - r)
-        return [
+        return (1, m + 1), [
             (1, m + 1, lambda A: (A - 1, 1 + m - A)),
             (m + 2, p + 1 - k, lambda A: (A - 1, A - (1 + m))),
             (p + 2 - k, p, lambda A: (p + r + 3 - A, A - (1 + m))),
@@ -275,7 +248,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         ]
     if tag == "T3-P1":
         m = _fl(p + q)
-        return [
+        return (1, m), [
             (1, m, lambda A: (A - 1, m - A)),
             (m + 1, p - _ce(p - q), lambda A: (A - 1, A - m)),
             (p + 1 - _ce(p - q), p, lambda A: (p + q + 1 - A, A - m)),
@@ -290,7 +263,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
     if tag == "T3-P2":
         m = _fl(p + q)
         k = _fl(p - q)
-        return [
+        return (1, p + 2), [
             (1, m - 1, lambda A: (A - 1, A + 1)),
             (m, p - k, lambda A: (A - 1, p + q - (A + 1))),
             (p + 1 - k, p, lambda A: (p + q + 1 - A, p + q - (A + 1))),
@@ -300,7 +273,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
         ]
     if tag == "T4-P1":
         h = _fl(q - p)
-        return [
+        return (1, 2, h + p + 1), [
             (1, 1, lambda A: (A - 1, 2 - A, A + h)),
             (2, p, lambda A: (A - 1, A - 2, A + h)),
             (p + 1, p + 1 + h, lambda A: (A - p, A + 1 - p, p + 1 + h - A)),
@@ -314,7 +287,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
     if tag == "T4-P2":
         c = _ce(q - r)
         b = _ce(q - p - 2)
-        return [
+        return (1, p + 2), [
             (1, p, lambda A: (A - 1, A + 1)),
             (p + 1, p + 1, lambda A: (A - p, p + 2 - A)),
             (p + 2, p + q - c, lambda A: (A - p, A - (p + 2))),
@@ -323,7 +296,10 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
             (p + q + 1, p + q + r, lambda A: (A + 1 - (p + q), A + 1 - (p + q))),
         ]
     if tag == "T4-P3a":
-        return [
+        # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
+        # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
+        # there, while the cells keep the generic landmark and so diverge.
+        return (1, _fl(p + q) if p > 1 else p + 1), [
             (1, p, lambda A: (A - 1, p - A)),
             (p + 1, p + 1, lambda A: (A - p, p)),
             (p + 2, p + q - 1, lambda A: (A - p, p + q + 1 - A)),
@@ -333,7 +309,7 @@ def _case_table(tag: str, p: int, q: int, r: int) -> list[_Cell]:
     if tag == "T4-P3b":
         m = _fl(p + q)
         k = _fl(p - q)
-        return [
+        return (1, m), [
             (1, m, lambda A: (A - 1, m - A)),
             (m + 1, p - k, lambda A: (A - 1, A - m)),
             (p + 1 - k, p, lambda A: (p + q + 1 - A, A - m)),
@@ -359,7 +335,7 @@ def formula_representation(p: int, q: int, r: int) -> tuple[tuple[int, ...] | st
     tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
     n = p + q + r
     entries: list[tuple[int, ...] | str] = ["uncovered"] * n
-    for lo, hi, fn in _case_table(tag, pp, qq, rr):
+    for lo, hi, fn in _case(tag, pp, qq, rr)[1]:
         for a in range(max(lo, 1), min(hi, n) + 1):
             claim, seen = fn(a), entries[a - 1]
             entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"

@@ -224,8 +224,7 @@ def assign_landmarks(spec: NetworkSpec) -> LandmarkTable:
     if shape is not None:
         params = shape.params
         result = closed_form_basis(params.p, params.q, params.r)
-        original = {canonical: orig for orig, canonical in shape.relabeling.items()}
-        basis = sorted(original[b] for b in result.basis)
+        basis = sorted(shape.labels[b - 1] for b in result.basis)
         method = f"closed-form ({result.case.tag})"
     else:
         oracle = metric_dimension_oracle(g)

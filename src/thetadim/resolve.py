@@ -56,16 +56,26 @@ class BasisResult:
     witness: tuple[int, ...]
 
 
+def _valid_landmarks(landmarks: list[int] | tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The landmarks as a tuple; ``ValueError`` when the list is empty,
+    repeats a vertex or names one outside 1..n."""
+    W = tuple(landmarks)
+    if not W:
+        raise ValueError("landmark set is empty")
+    if len(set(W)) != len(W):
+        raise ValueError(f"duplicate landmark in {W}")
+    for w in W:
+        if not 1 <= w <= n:
+            raise ValueError(f"landmark {w} outside 1..{n}")
+    return W
+
+
 def representation(D: DistanceMatrix, v: int, landmarks: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Distance vector of ``v`` with respect to an ordered landmark list."""
-    if not landmarks:
-        raise ValueError("landmark list is empty")
-    if len(set(landmarks)) != len(landmarks):
-        raise ValueError(f"duplicate landmark in {tuple(landmarks)}")
-    for w in (v, *landmarks):
-        if not 1 <= w <= D.n:
-            raise ValueError(f"vertex {w} outside 1..{D.n}")
-    return tuple(D.dist(v, w) for w in landmarks)
+    W = _valid_landmarks(landmarks, D.n)
+    if not 1 <= v <= D.n:
+        raise ValueError(f"vertex {v} outside 1..{D.n}")
+    return tuple(D.dist(v, w) for w in W)
 
 
 def _resolves(landmark_rows: Iterable[tuple[int, ...]], n: int) -> bool:
@@ -87,15 +97,7 @@ def _first_collision(landmark_rows: list[tuple[int, ...]]) -> tuple[int, int] | 
 
 def _landmark_rows(g: Graph, landmarks: list[int] | tuple[int, ...]) -> list[tuple[int, ...]]:
     """The distance rows of a validated landmark set, in landmark order."""
-    W = tuple(landmarks)
-    if not W:
-        raise ValueError("landmark set is empty")
-    if len(set(W)) != len(W):
-        raise ValueError(f"duplicate landmark in {W}")
-    for w in W:
-        if not 1 <= w <= g.n:
-            raise ValueError(f"landmark {w} outside 1..{g.n}")
-    return [g.distance_row(w) for w in W]
+    return [g.distance_row(w) for w in _valid_landmarks(landmarks, g.n)]
 
 
 def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[int, int] | None:

@@ -209,23 +209,26 @@ def _from_json(cls, obj: dict, **converted):
 
 
 def parse_report(text: str) -> SweepReport:
-    """Rebuild a report from its JSON serialization (the round-trip inverse)."""
+    """Rebuild a report from its JSON serialization (the round-trip inverse);
+    raises ``ValueError`` on any other text."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError("report is not a JSON object")
     if payload.get("schema") != SCHEMA:
         raise ValueError(f"unexpected report schema {payload.get('schema')!r}")
-    if payload["filters"] is not None:
-        raise ValueError(f"unexpected report filters {payload['filters']!r}")
-    records = tuple(
-        _from_json(
-            SweepRecord,
-            rec,
-            params=tuple(rec[name] for name in _PARAMS),
-            table_mismatches=tuple(_from_json(TableMismatch, m) for m in rec["table_mismatches"]),
+    try:
+        if payload["filters"] is not None:
+            raise ValueError(f"unexpected report filters {payload['filters']!r}")
+        records = tuple(
+            _from_json(
+                SweepRecord,
+                rec,
+                params=tuple(rec[name] for name in _PARAMS),
+                table_mismatches=tuple(_from_json(TableMismatch, m) for m in rec["table_mismatches"]),
+            )
+            for rec in payload["records"]
         )
-        for rec in payload["records"]
-    )
-    return SweepReport(
-        max_n=payload["max_n"],
-        records=records,
-        summary=_from_json(SweepSummary, payload["summary"]),
-    )
+        summary = _from_json(SweepSummary, payload["summary"])
+        return SweepReport(max_n=payload["max_n"], records=records, summary=summary)
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong JSON type
+        raise ValueError(f"malformed report: {exc!r}") from exc

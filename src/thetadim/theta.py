@@ -13,7 +13,8 @@ follow a fixed layout:
 plus connector edges {v_{p+1}, v_1}, {v_p, v_{p+q}}, {v_{p+1}, v_{p+q+1}}
 and {v_{p+q+r}, v_{p+q}}.  When an outer count is zero its two connectors
 collapse into a single hub-hub edge, keeping the remaining labels
-contiguous.
+contiguous.  ``detect_theta`` recognizes a theta graph under any labels and
+lists its original labels in this layout's order.
 """
 
 from __future__ import annotations
@@ -44,17 +45,14 @@ class ThetaParams:
 class ThetaShape:
     """A theta graph recognized inside an arbitrarily labelled graph.
 
-    ``path_vertices`` holds the three hub-to-hub paths in original labels:
-    outer-one internals, the middle path including both hubs, and outer-two
-    internals, each ordered starting from ``hub_a``.  ``relabeling`` maps
-    original labels onto the canonical layout of ``build_c(params)``.
+    ``labels[c - 1]`` is the original label of vertex c of
+    ``build_c(params)``: the outer-one internals, hub a, the middle
+    internals, hub b, then the outer-two internals, each path ordered
+    starting from hub a.
     """
 
     params: ThetaParams
-    hub_a: int
-    hub_b: int
-    path_vertices: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    relabeling: dict[int, int]
+    labels: tuple[int, ...]
 
 
 def validate_params(p: int, q: int, r: int) -> str | None:
@@ -169,27 +167,14 @@ def _shape(hub_a: int, hub_b: int, chains: list[tuple[int, ...]], mi: int) -> Th
         key=lambda c: (-len(c), c),
     )
     p, q, r = len(outer_one), len(middle) + 2, len(outer_two)
-    relabeling: dict[int, int] = {hub_a: p + 1, hub_b: p + q}
-    for offset, v in enumerate(outer_one, start=1):
-        relabeling[v] = offset
-    for offset, v in enumerate(middle, start=p + 2):
-        relabeling[v] = offset
-    for offset, v in enumerate(outer_two, start=p + q + 1):
-        relabeling[v] = offset
-    return ThetaShape(
-        params=ThetaParams(p, q, r),
-        hub_a=hub_a,
-        hub_b=hub_b,
-        path_vertices=(outer_one, (hub_a, *middle, hub_b), outer_two),
-        relabeling=relabeling,
-    )
+    return ThetaShape(ThetaParams(p, q, r), (*outer_one, hub_a, *middle, hub_b, *outer_two))
 
 
 def detect_theta(g: Graph) -> ThetaShape | None:
     """Recognize a theta graph and return its preferred parameterization.
 
     The preferred shape takes the shortest hub-to-hub path as the middle
-    path, ties broken by internal labels (hub_a being the degree-3 vertex
+    path, ties broken by internal labels (hub a being the degree-3 vertex
     with the smaller original label), which is the parameterization the
     closed-form dispatcher consumes.
     Returns None when ``g`` is not a theta graph; that outcome is a result,

@@ -219,10 +219,10 @@ def test_criterion_7_property_suites():
             shape = detect_theta(build_c(p, q, r))
             assert shape is not None
             pr = shape.params
+            label = dict(enumerate(shape.labels, start=1))
             mapped = {
-                (min(shape.relabeling[u], shape.relabeling[v]),
-                 max(shape.relabeling[u], shape.relabeling[v]))
-                for u, v in build_c(p, q, r).edges
+                (min(label[u], label[v]), max(label[u], label[v]))
+                for u, v in build_c(pr.p, pr.q, pr.r).edges
             }
-            assert mapped == build_c(pr.p, pr.q, pr.r).edges
+            assert mapped == build_c(p, q, r).edges
     _pass(7, "property suites (axioms, monotonicity, swap, round-trip)", f"{b.elapsed:.1f}s")

@@ -216,9 +216,17 @@ def test_oracle_cap_option_is_a_usage_error(tmp_path, capsys, cap):
         assert "unrecognized arguments: --oracle-cap" in err
 
 
-def test_cli_start_up_does_not_import_numpy():
+def test_cli_start_up_imports_only_the_standard_library():
+    # Every module that importing the CLI loads is thetadim's own or from the
+    # standard library; modules the interpreter loaded before (site hooks and
+    # the like) are not the CLI's.
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    check = "import thetadim.cli, sys; assert 'numpy' not in sys.modules"
+    check = (
+        "import sys; before = set(sys.modules); import thetadim.cli\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "extra = sorted(loaded - sys.stdlib_module_names - {'thetadim'})\n"
+        "assert 'thetadim' in loaded and not extra, extra"
+    )
     proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

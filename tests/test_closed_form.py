@@ -8,6 +8,7 @@ from thetadim import (
     InvalidParamsError,
     all_pairs,
     build_c,
+    check_triple,
     closed_form_basis,
     dimension_by_path_lengths,
     dispatch_case,
@@ -94,6 +95,19 @@ def test_basis_degenerate_landmark_collision_is_completed():
     result = closed_form_basis(1, 2, 1)
     assert result.basis == (1, 2)
     assert is_resolving(build_c(1, 2, 1), result.basis)
+
+
+def test_completed_basis_diverges_from_its_table():
+    # The T4-P3a cells are written for the generic second landmark, v_1 at
+    # (1, 2, 1), so measured from the completion's hub three of the four
+    # vertices diverge; the sweep records each one.
+    record = check_triple(1, 2, 1)
+    assert record.case == "T4-P3a"
+    assert [(m.vertex, m.formula, m.bfs, m.note) for m in record.table_mismatches] == [
+        (1, (0, 0), (0, 1), ""),
+        (2, (1, 1), (1, 0), ""),
+        (4, (2, 2), (2, 1), ""),
+    ]
 
 
 def test_dimension_examples():

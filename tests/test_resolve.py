@@ -68,12 +68,15 @@ def test_representation_far_end_of_equal_arms_graph():
 
 
 def test_representation_rejects_duplicates_and_range():
+    # the landmark rules and their messages are those of is_resolving
     D = all_pairs(path(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"duplicate landmark in \(1, 1\)"):
         representation(D, 1, [1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"landmark 4 outside 1\.\.3"):
+        representation(D, 1, [1, 4])
+    with pytest.raises(ValueError, match=r"vertex 4 outside 1\.\.3"):
         representation(D, 4, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="landmark set is empty"):
         representation(D, 1, [])
 
 

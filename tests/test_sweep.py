@@ -94,6 +94,18 @@ def test_parse_rejects_filters():
         parse_report(json.dumps(payload))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "not a JSON object"),
+    ('{"schema": "thetadim-sweep/1"}', r"KeyError\('filters'\)"),
+    ('{"schema": "thetadim-sweep/1", "max_n": 3, "filters": null, "summary": {}}', r"KeyError\('records'\)"),
+    ('{"schema": "thetadim-sweep/1", "max_n": 3, "filters": null, "summary": {}, "records": [[4]]}',
+     "malformed report: TypeError"),
+], ids=["not-an-object", "no-filters", "no-records", "record-not-an-object"])
+def test_parse_rejects_malformed_reports(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_report(text)
+
+
 def test_csv_shape():
     report = sweep(6)
     rows = list(csv.reader(io.StringIO(emit_report(report, fmt="csv"))))
@@ -118,7 +130,7 @@ def test_report_bytes_are_pinned():
         assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
 
 
-def test_report_bytes_match_the_benchmark_pins_up_to_the_oracle_cap():
+def test_report_bytes_match_the_benchmark_pins():
     # The benchmark pins the n <= 24 summary and report digests; a speed-up
     # must leave every report byte as it is.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"

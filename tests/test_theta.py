@@ -151,9 +151,11 @@ def test_detect_shuffled_complete_bipartite():
 def test_detect_field_network_arrangement():
     g = build_c(5, 3, 4)
     shape = detect_theta(g)
-    assert shape.hub_a == 6 and shape.hub_b == 8
     assert (shape.params.p, shape.params.q, shape.params.r) == (5, 3, 4)
-    assert shape.relabeling == {v: v for v in range(1, 13)}
+    assert shape.labels == tuple(range(1, 13))
+    # the hubs are canonical v_{p+1} and v_{p+q}
+    assert (shape.labels[5], shape.labels[7]) == (6, 8)
+    assert g.degree(shape.labels[5]) == g.degree(shape.labels[7]) == 3
 
 
 def test_parameterizations_one_per_middle_choice():
@@ -177,14 +179,9 @@ def test_detect_round_trips_exhaustively():
         assert shape is not None, (p, q, r)
         params = shape.params
         assert validate_params(params.p, params.q, params.r) is None
-        # relabeling carries the shuffled graph exactly onto the canonical build
+        # labels carry the canonical build exactly onto the shuffled graph
         canon = build_c(params.p, params.q, params.r)
-        mapped = {
-            (min(shape.relabeling[u], shape.relabeling[v]),
-             max(shape.relabeling[u], shape.relabeling[v]))
-            for u, v in shuffled.edges
-        }
-        assert mapped == canon.edges
+        assert relabel(canon, dict(enumerate(shape.labels, start=1))).edges == shuffled.edges
         assert sorted(to_theta_lengths(params.p, params.q, params.r)) == sorted(
             to_theta_lengths(p, q, r)
         )
