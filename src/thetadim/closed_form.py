@@ -134,12 +134,7 @@ def dispatch_case(p: int, q: int, r: int) -> TheoremCase:
 
 def closed_form_basis(p: int, q: int, r: int) -> ClosedFormResult:
     """Closed-form metric basis for ``C_{p,q,r}`` in the caller's labeling."""
-    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    landmarks, _ = _case(tag, pp, qq, rr)
-    if swapped:
-        # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
-        landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
-    return ClosedFormResult(case=TheoremCase(tag=tag, swapped=swapped), landmarks=landmarks)
+    return _closed_form(p, q, r)[0]
 
 
 def dimension_by_path_lengths(p: int, q: int, r: int) -> int:
@@ -324,6 +319,35 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
     raise ValueError(f"unknown case tag {tag!r}")
 
 
+_Claims = tuple[tuple[int, ...] | str, ...]
+
+
+def _closed_form(p: int, q: int, r: int) -> tuple[ClosedFormResult, Callable[[], _Claims]]:
+    """The result of :func:`closed_form_basis`, and a call that evaluates its
+    case table into :func:`formula_representation`, from one dispatch.
+
+    No cell formula is evaluated until the second value is called.
+    """
+    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
+    landmarks, cells = _case(tag, pp, qq, rr)
+    if swapped:
+        # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
+        landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
+
+    def claims() -> _Claims:
+        n = p + q + r
+        entries: list[tuple[int, ...] | str] = ["uncovered"] * n
+        for lo, hi, fn in cells:
+            for a in range(max(lo, 1), min(hi, n) + 1):
+                claim, seen = fn(a), entries[a - 1]
+                entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
+        if swapped:
+            entries = [entries[_swap(p, q, r, v) - 1] for v in range(1, n + 1)]
+        return tuple(entries)
+
+    return ClosedFormResult(case=TheoremCase(tag=tag, swapped=swapped), landmarks=landmarks), claims
+
+
 def formula_representation(p: int, q: int, r: int) -> tuple[tuple[int, ...] | str, ...]:
     """Table-claimed distance vectors of every vertex, indexed by v - 1.
 
@@ -332,13 +356,4 @@ def formula_representation(p: int, q: int, r: int) -> tuple[tuple[int, ...] | st
     or ``"ambiguous"`` when overlapping cells claim different vectors.
     Compare the entries with BFS distances; BFS is authoritative.
     """
-    tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    n = p + q + r
-    entries: list[tuple[int, ...] | str] = ["uncovered"] * n
-    for lo, hi, fn in _case(tag, pp, qq, rr)[1]:
-        for a in range(max(lo, 1), min(hi, n) + 1):
-            claim, seen = fn(a), entries[a - 1]
-            entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
-    if swapped:
-        entries = [entries[_swap(p, q, r, v) - 1] for v in range(1, n + 1)]
-    return tuple(entries)
+    return _closed_form(p, q, r)[1]()

@@ -1,6 +1,8 @@
 """Immutable simple graphs on 1-based vertex labels, with BFS hop distances.
 
 Each graph memoises its distance rows, one BFS per source vertex asked for.
+A BFS walks one list in visit order, level after level, appending each
+vertex as it is first reached; the list is its own queue, with no deque.
 Resolving checks and landmark codes read only the rows of their landmarks,
 O(n·k) for k landmarks, and the exhaustive oracle reads only the rows of
 the candidates it tests.  No library code reads the all-pairs matrix; it is
@@ -11,7 +13,6 @@ across threads (a race can compute a row twice, never a wrong one).
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,7 +41,7 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return tuple(map(tuple, map(sorted, nbrs)))
 
     @cached_property
     def _distance_matrix(self) -> DistanceMatrix:
@@ -104,18 +105,16 @@ def new_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]
     """Build a simple graph, deduplicating repeated edges.
 
     Raises ``ValueError`` for a non-positive vertex count, an endpoint
-    outside 1..n, or a self-loop.
+    outside 1..n, or a self-loop, naming the first bad edge in input order.
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
-    dedup: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        dedup.add((min(u, v), max(u, v)))
-    return Graph(n=n, edges=frozenset(dedup))
+    return Graph(n=n, edges=frozenset([(u, v) if u < v else (v, u) for u, v in edges]))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -133,13 +132,15 @@ def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> list[int]:
         raise ValueError(f"source {source} outside 1..{n}")
     dist = [UNREACHABLE] * (n + 1)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    # The visit order is the queue: a list iterator reads items appended
+    # after it started, so the loop walks the levels in order without a deque.
+    order = [source]
+    for u in order:
+        du = dist[u] + 1
         for w in adj[u]:
             if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+                dist[w] = du
+                order.append(w)
     return dist[1:]
 
 

@@ -122,7 +122,13 @@ def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bo
     rows = _landmark_rows(g, landmarks)
     if not _resolves(rows, g.n):
         raise ValueError(f"{tuple(landmarks)} is not a resolving set")
-    return not any(_resolves(rows[:i] + rows[i + 1 :], g.n) for i in range(len(rows)))
+    return _minimal(rows, g.n)
+
+
+def _minimal(rows: list[tuple[int, ...]], n: int) -> bool:
+    """True when each landmark row of a resolving set is needed: dropping
+    any one of them leaves two of the n vertices with equal vectors."""
+    return not any(_resolves(rows[:i] + rows[i + 1 :], n) for i in range(len(rows)))
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:

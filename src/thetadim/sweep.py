@@ -15,14 +15,17 @@ reports.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import time
-from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields
+import types
+import typing
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .closed_form import closed_form_basis, formula_representation
-from .resolve import is_minimal_resolving, is_resolving, metric_dimension_oracle
+from .closed_form import _closed_form
+from .resolve import _landmark_rows, _minimal, _resolves, metric_dimension_oracle
 from .theta import build_c, validate_params
 
 SCHEMA = "thetadim-sweep/1"
@@ -104,16 +107,18 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
 def check_triple(p: int, q: int, r: int) -> SweepRecord:
     """Run every closed-form-vs-oracle check for one triple."""
     start = time.perf_counter()
-    result = closed_form_basis(p, q, r)
+    result, claims = _closed_form(p, q, r)
     g = build_c(p, q, r)
     oracle = metric_dimension_oracle(g)
-    basis_ok = is_resolving(g, result.basis)
-    basis_minimal = bool(basis_ok and is_minimal_resolving(g, result.basis))
+    # The landmark rows, read once in coordinate order, settle resolution
+    # and minimality (neither depends on the order) and are the BFS ground
+    # truth of the table diff.
+    rows = _landmark_rows(g, result.landmarks)
+    basis_ok = _resolves(rows, g.n)
+    basis_minimal = basis_ok and _minimal(rows, g.n)
 
-    # BFS ground truth from the landmark rows the checks above already read.
-    grounds = zip(*(g.distance_row(w) for w in result.landmarks))
     mismatches: list[TableMismatch] = []
-    for v, (claimed, ground) in enumerate(zip(formula_representation(p, q, r), grounds, strict=True), start=1):
+    for v, (claimed, ground) in enumerate(zip(claims(), zip(*rows), strict=True), start=1):
         if isinstance(claimed, str):
             mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=claimed))
         elif claimed != ground:
@@ -151,6 +156,9 @@ _RECORD_FIELDS = tuple(
     for name in (_PARAMS if f.name == "params" else (f.name,))
 )
 
+#: Serialized table-mismatch fields, in declaration order.
+_MISMATCH_FIELDS = tuple(f.name for f in fields(TableMismatch))
+
 #: CSV columns: the record fields, with a mismatch count before the details.
 _CSV_COLUMNS = tuple(
     column
@@ -161,6 +169,12 @@ _CSV_COLUMNS = tuple(
 
 def _field(rec: SweepRecord, name: str):
     return rec.params[_PARAMS.index(name)] if name in _PARAMS else getattr(rec, name)
+
+
+def _json_value(rec: SweepRecord, name: str):
+    if name == "table_mismatches":
+        return [{f: getattr(m, f) for f in _MISMATCH_FIELDS} for m in rec.table_mismatches]
+    return _field(rec, name)
 
 
 def _csv_cell(rec: SweepRecord, column: str):
@@ -183,12 +197,13 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
             "schema": SCHEMA,
             "max_n": report.max_n,
             "filters": None,  # always null; a key of the thetadim-sweep/1 schema
-            "summary": report.summary,
-            "records": [{name: _field(rec, name) for name in _RECORD_FIELDS} for rec in report.records],
+            "summary": asdict(report.summary),
+            "records": [{name: _json_value(rec, name) for name in _RECORD_FIELDS} for rec in report.records],
         }
-        # The summary and the table mismatches serialize as their dataclass
-        # fields in declaration order; tuples serialize as JSON arrays.
-        return json.dumps(payload, indent=2, default=asdict) + "\n"
+        # The payload is plain dicts, lists and tuples (JSON arrays), so the
+        # encoder converts no dataclass; every object keeps its dataclass's
+        # field order.
+        return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -198,14 +213,63 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _from_json(cls, obj: dict, **converted):
-    """Rebuild dataclass ``cls`` from its JSON object.
+@functools.cache
+def _reader(hint) -> Callable[[object], object]:
+    """The function that reads a JSON value as an instance of the annotation
+    ``hint``, built once per annotation.
 
-    Reads every field that takes part in equality, turning JSON arrays back
-    into tuples; fields given in ``converted`` are taken as they are.
+    Arrays become tuples and objects become dataclasses, which read every
+    field that takes part in equality (a record's ``params`` from its p, q
+    and r keys).  A reader raises ``TypeError`` when a value is not of its
+    annotated type (``bool`` is not an ``int`` here) and ``KeyError`` when
+    a field is missing.
     """
-    values = {f.name: obj[f.name] for f in fields(cls) if f.compare and f.name not in converted}
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()}, **converted)
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        readers = {f.name: _reader(hints[f.name]) for f in fields(hint) if f.compare}
+
+        def read_object(value):
+            if not isinstance(value, dict):
+                raise TypeError(f"{hint.__name__} is not a JSON object: {value!r}")
+            if hint is SweepRecord:
+                value = {**value, "params": [value[name] for name in _PARAMS]}
+            return hint(**{name: read(value[name]) for name, read in readers.items()})
+
+        return read_object
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        variadic = args[1:] == (...,)  # tuple[T, ...]
+        readers = tuple(map(_reader, args[:1] if variadic else args))
+
+        def read_array(value):
+            if not isinstance(value, list):
+                raise TypeError(f"expected a JSON array, got {value!r}")
+            if variadic:
+                return tuple(map(readers[0], value))
+            if len(value) != len(readers):
+                raise TypeError(f"expected {len(readers)} items, got {value!r}")
+            return tuple(read(item) for read, item in zip(readers, value))
+
+        return read_array
+    if origin in (typing.Union, types.UnionType):
+        options = tuple(map(_reader, args))
+
+        def read_union(value):
+            for read in options:
+                try:
+                    return read(value)
+                except TypeError:
+                    pass
+            raise TypeError(f"expected {hint}, got {value!r}")
+
+        return read_union
+
+    def read_leaf(value):
+        if type(value) is not hint:
+            raise TypeError(f"expected {hint.__name__}, got {value!r}")
+        return value
+
+    return read_leaf
 
 
 def parse_report(text: str) -> SweepReport:
@@ -219,16 +283,6 @@ def parse_report(text: str) -> SweepReport:
     try:
         if payload["filters"] is not None:
             raise ValueError(f"unexpected report filters {payload['filters']!r}")
-        records = tuple(
-            _from_json(
-                SweepRecord,
-                rec,
-                params=tuple(rec[name] for name in _PARAMS),
-                table_mismatches=tuple(_from_json(TableMismatch, m) for m in rec["table_mismatches"]),
-            )
-            for rec in payload["records"]
-        )
-        summary = _from_json(SweepSummary, payload["summary"])
-        return SweepReport(max_n=payload["max_n"], records=records, summary=summary)
-    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong JSON type
+        return _reader(SweepReport)(payload)
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
         raise ValueError(f"malformed report: {exc!r}") from exc

@@ -17,6 +17,7 @@ from thetadim import (
     representation,
     valid_triples,
 )
+from thetadim import closed_form
 from thetadim.closed_form import CASE_TAGS
 from thetadim.theta import _swap
 
@@ -221,3 +222,48 @@ def test_swapped_landmarks_cost_no_per_vertex_work():
         tracemalloc.stop()
     assert result.basis == (7, 500007) and result.case.tag == "T3-P3"
     assert peak < 2**20, peak
+
+
+@pytest.fixture
+def cell_calls(monkeypatch):
+    """The number of cell formulas evaluated, over every case built."""
+    calls = []
+    case = closed_form._case
+
+    def counting(tag, p, q, r):
+        landmarks, cells = case(tag, p, q, r)
+        return landmarks, [(lo, hi, counted(fn)) for lo, hi, fn in cells]
+
+    def counted(fn):
+        def formula(A):
+            calls.append(A)
+            return fn(A)
+        return formula
+
+    monkeypatch.setattr(closed_form, "_case", counting)
+    return calls
+
+
+def test_basis_evaluates_no_cell_formula(cell_calls):
+    # the landmark networks ask only for the basis; the table is the sweep's
+    for p, q, r in valid_triples(14):
+        closed_form_basis(p, q, r)
+    closed_form_basis(300, 400, 500)
+    assert cell_calls == []
+    formula_representation(3, 7, 3)
+    assert len(cell_calls) >= 13
+
+
+def test_check_triple_builds_one_case(monkeypatch):
+    tags = []
+    case = closed_form._case
+
+    def counting(tag, p, q, r):
+        tags.append(tag)
+        return case(tag, p, q, r)
+
+    monkeypatch.setattr(closed_form, "_case", counting)
+    for p, q, r in valid_triples(10):
+        tags.clear()
+        record = check_triple(p, q, r)
+        assert tags == [record.case], (p, q, r)

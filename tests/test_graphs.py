@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from thetadim import UNREACHABLE, all_pairs, bfs_distances, build_c, new_graph
+from thetadim import UNREACHABLE, all_pairs, bfs_distances, build_c, graphs, new_graph
 
 from conftest import small_graphs
 
@@ -50,6 +50,16 @@ def test_duplicate_edges_collapse():
 def test_rejects_bad_edges(bad):
     with pytest.raises(ValueError):
         new_graph(2, bad)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 2), (3, 3), (1, 9), (0, 2)], "self-loop at vertex 3"),
+    ([(1, 2), (1, 9), (3, 3), (0, 2)], r"edge \(1, 9\) has an endpoint outside 1\.\.4"),
+    ([(0, 2), (3, 3), (1, 9)], r"edge \(0, 2\) has an endpoint outside 1\.\.4"),
+])
+def test_first_bad_edge_in_input_order_is_reported(edges, message):
+    with pytest.raises(ValueError, match=message):
+        new_graph(4, edges)
 
 
 def test_rejects_nonpositive_order():
@@ -122,6 +132,26 @@ def test_distance_matrix_axioms(g):
             for w in range(g.n):
                 if UNREACHABLE not in (d[u][v], d[u][w], d[w][v]):
                     assert d[u][v] <= d[u][w] + d[w][v]
+
+
+def reference_bfs(g, source):
+    """Hop counts from ``source`` by growing the reached set one edge-list
+    scan per level, independent of the adjacency and of the BFS queue."""
+    dist = {source: 0}
+    level, d = {source}, 0
+    while level:
+        d += 1
+        level = {b for u, v in g.edges for a, b in ((u, v), (v, u)) if a in level and b not in dist}
+        dist.update(dict.fromkeys(level, d))
+    return [dist.get(v, UNREACHABLE) for v in range(1, g.n + 1)]
+
+
+@given(small_graphs())
+@settings(deadline=None)
+def test_bfs_matches_a_reference_search(g):
+    # disconnected graphs included: vertices out of reach read UNREACHABLE
+    for source in range(1, g.n + 1):
+        assert graphs._bfs(g.adjacency, source) == reference_bfs(g, source)
 
 
 @given(small_graphs())

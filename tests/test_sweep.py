@@ -94,13 +94,36 @@ def test_parse_rejects_filters():
         parse_report(json.dumps(payload))
 
 
+def edited_report(*path, value):
+    """The JSON report of ``sweep(4)`` with the value at ``path`` replaced."""
+    payload = json.loads(emit_report(sweep(4)))
+    *parents, key = path
+    obj = payload
+    for step in parents:
+        obj = obj[step]
+    obj[key] = value
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("text, message", [
     ("[1]", "not a JSON object"),
     ('{"schema": "thetadim-sweep/1"}', r"KeyError\('filters'\)"),
     ('{"schema": "thetadim-sweep/1", "max_n": 3, "filters": null, "summary": {}}', r"KeyError\('records'\)"),
     ('{"schema": "thetadim-sweep/1", "max_n": 3, "filters": null, "summary": {}, "records": [[4]]}',
      "malformed report: TypeError"),
-], ids=["not-an-object", "no-filters", "no-records", "record-not-an-object"])
+    (edited_report("max_n", value="four"), "malformed report: TypeError.*'four'"),
+    (edited_report("records", 0, "basis", value="x"), "malformed report: TypeError.*'x'"),
+    (edited_report("records", 0, "formula_dim", value=None), "malformed report: TypeError.*None"),
+    (edited_report("records", 0, "swapped", value=1), "malformed report: TypeError.*expected bool"),
+    (edited_report("summary", "records", value=True), "malformed report: TypeError.*expected int"),
+    (edited_report("records", 0, "q", value=3.0), "malformed report: TypeError.*3.0"),
+    (edited_report("records", 0, "table_mismatches", 0, "formula", value=["1", 2]),
+     "malformed report: TypeError.*'1'"),
+    (edited_report("records", 0, "table_mismatches", 0, "note", value=None),
+     "malformed report: TypeError.*None"),
+], ids=["not-an-object", "no-filters", "no-records", "record-not-an-object", "max-n-string",
+        "basis-string", "formula-dim-null", "swapped-int", "summary-bool", "param-float",
+        "mismatch-formula-string", "mismatch-note-null"])
 def test_parse_rejects_malformed_reports(text, message):
     with pytest.raises(ValueError, match=message):
         parse_report(text)
@@ -139,6 +162,42 @@ def test_report_bytes_match_the_benchmark_pins():
     assert asdict(report.summary) == pin["summary"]
     for fmt in ("json", "csv"):
         assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == pin[f"{fmt}_sha256"], fmt
+
+
+#: Summary and report SHA-256s of the n <= 32 sweep, past the benchmark's
+#: n <= 24: a speed-up must leave these bytes as they are too.
+SUMMARY_N32 = {
+    "records": 5365,
+    "agreements": 5365,
+    "dimension_mismatches": 0,
+    "basis_failures": 0,
+    "table_mismatch_entries": 4721,
+}
+REPORT_SHA256_N32 = {
+    "json": "e52c78fca13ec68175b7c6cbc2ffe440c2a10bbac951ac5e78f1de5748016bdc",
+    "csv": "f87326ec0b2c858baf3215db4961a928be53df3c4b609176bc8647f16edb3f9b",
+}
+
+
+def test_report_bytes_are_pinned_to_32():
+    report = sweep(32)
+    assert asdict(report.summary) == SUMMARY_N32
+    for fmt, digest in REPORT_SHA256_N32.items():
+        assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
+    assert parse_report(emit_report(report)) == report
+
+
+@pytest.mark.slow
+def test_sweep_to_60_agrees_everywhere():
+    # the verified range of ROADMAP item 1; about 30 s, so marked slow
+    summary = sweep(60).summary
+    assert asdict(summary) == {
+        "records": 35815,
+        "agreements": 35815,
+        "dimension_mismatches": 0,
+        "basis_failures": 0,
+        "table_mismatch_entries": 58545,
+    }
 
 
 def test_unknown_format_rejected():
