@@ -26,7 +26,7 @@ print("\nrecords per case (divergent tables in parentheses):")
 for case in sorted(per_case):
     print(f"  {case:<12} {per_case[case]:>4}  ({divergent.get(case, 0)})")
 
-sample = next(rec for rec in report.records if rec.params == (5, 3, 4))
+sample = next(rec for rec in report.records if (rec.p, rec.q, rec.r) == (5, 3, 4))
 print("\nthe (5, 3, 4) record, the one the logistics demo relies on:")
 print("  case:", sample.case, "| basis:", sample.basis,
       "| formula dim:", sample.formula_dim, "| oracle dim:", sample.oracle_dim)

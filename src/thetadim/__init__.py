@@ -49,7 +49,6 @@ from .sweep import (
     check_triple,
     emit_report,
     parse_report,
-    recompute_summary,
     sweep,
     valid_triples,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "new_graph",
     "parse_network",
     "parse_report",
-    "recompute_summary",
     "representation",
     "sweep",
     "to_theta_lengths",

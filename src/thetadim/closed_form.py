@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .theta import _require_valid, _swap
+from .theta import _require_valid, _swap, to_theta_lengths
 
 CASE_TAGS: tuple[str, ...] = (
     "ZeroPath-P1",
@@ -145,8 +145,7 @@ def dimension_by_path_lengths(p: int, q: int, r: int) -> int:
     the case dispatch so a transcription slip in either one shows up as a
     disagreement between the two.
     """
-    _require_valid(p, q, r)
-    a, b, c = sorted((p + 1, q - 1, r + 1))
+    a, b, c = sorted(to_theta_lengths(p, q, r))
     return 3 if (a == b == c) or (a == b and c == a + 2) else 2
 
 

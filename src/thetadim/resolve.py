@@ -131,6 +131,27 @@ def _minimal(rows: list[tuple[int, ...]], n: int) -> bool:
     return not any(_resolves(rows[:i] + rows[i + 1 :], n) for i in range(len(rows)))
 
 
+def _check_level_cost(k: int, n: int) -> None:
+    """Raise ``ValueError`` when oracle size level k on n vertices costs
+    C(n, k) * n candidate-vertex units, more than ``ORACLE_LEVEL_BUDGET``.
+
+    The cost is built up as n * C(n, j) for j = 0, 1, ..., min(k, n - k),
+    which never decreases, so the first partial product over the budget
+    settles the question without computing a C(n, k) of thousands of digits;
+    the message then gives that product as a lower bound.
+    """
+    steps = min(k, n - k)
+    cost = n
+    for j in range(steps):
+        cost = cost * (n - j) // (j + 1)
+        if cost > ORACLE_LEVEL_BUDGET:
+            bound = "" if j + 1 == steps else "at least "
+            raise ValueError(
+                f"oracle size {k} on {n} vertices costs {bound}{cost:,} candidate-vertex units, "
+                f"over the budget of {ORACLE_LEVEL_BUDGET:,}"
+            )
+
+
 def _twin_classes(g: Graph) -> list[list[int]]:
     """Twin classes of two or more vertices: groups with equal open
     neighbourhoods N(v) (false twins) or equal closed ones N[v] (true twins).
@@ -185,6 +206,12 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     diameter = None
     rows = None  # every vertex's row, once D is needed or a size has no witness
     classes = _twin_classes(g)
+    first = max(1, sum(len(T) - 1 for T in classes))
+    # The weights below take bits in the square of the class count C, so the
+    # first level is checked before they are built.  It holds at least C of
+    # the n >= 2C vertices and leaves out at least C, so it costs at least
+    # C(2C, C) * 2C, and only a graph of at most 12 classes passes.
+    _check_level_cost(first, n)
     # Vertex v of the i-th twin class weighs 2^(width*i), so the vertices a
     # candidate leaves out weigh their count per class, each in a digit of its
     # own (width bits hold any count up to n).  A digit above 1 means two
@@ -197,13 +224,8 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     total = sum(weights)
     two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
     vertices = range(1, n + 1)
-    for k in range(max(1, sum(len(T) - 1 for T in classes)), n + 1):
-        cost = math.comb(n, k) * n
-        if cost > ORACLE_LEVEL_BUDGET:
-            raise ValueError(
-                f"oracle size {k} on {n} vertices costs {cost:,} candidate-vertex units, "
-                f"over the budget of {ORACLE_LEVEL_BUDGET:,}"
-            )
+    for k in range(first, n + 1):
+        _check_level_cost(k, n)
         if k == 1:
             # D + 1 >= n holds only for a path: n - 1 edges, degrees <= 2.
             if len(g.edges) != n - 1 or max(map(len, g.adjacency)) > 2:

@@ -6,10 +6,11 @@ minimality, and diffs every table-claimed distance vector against BFS.
 Discrepancies never abort a sweep; they become first-class report entries,
 since auditing the formulas is the point of the harness.
 
-Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV.  Per-record
-wall-clock times are kept in memory for diagnostics but excluded from both
-serialization and equality, so identical ranges produce byte-identical
-reports.
+Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
+report dataclasses' fields as keys; a report's summary is derived from its
+records.  Per-record wall-clock times are kept in memory for diagnostics but
+excluded from both serialization and equality, so identical ranges produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import time
 import types
 import typing
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .closed_form import _closed_form
@@ -49,7 +50,9 @@ class TableMismatch:
 class SweepRecord:
     """Outcome of all checks for one (p, q, r) triple."""
 
-    params: tuple[int, int, int]
+    p: int
+    q: int
+    r: int
     n: int
     case: str
     swapped: bool
@@ -79,19 +82,18 @@ class SweepSummary:
 class SweepReport:
     max_n: int
     records: tuple[SweepRecord, ...]
-    summary: SweepSummary
 
-
-def recompute_summary(records: Iterable[SweepRecord]) -> SweepSummary:
-    """Tally a summary directly from records (the self-consistency anchor)."""
-    recs = list(records)
-    return SweepSummary(
-        records=len(recs),
-        agreements=sum(1 for rec in recs if rec.dims_agree and rec.basis_ok),
-        dimension_mismatches=sum(1 for rec in recs if not rec.dims_agree),
-        basis_failures=sum(1 for rec in recs if not rec.basis_ok),
-        table_mismatch_entries=sum(len(rec.table_mismatches) for rec in recs),
-    )
+    @functools.cached_property
+    def summary(self) -> SweepSummary:
+        """The tallies of the records, counted on first use."""
+        recs = self.records
+        return SweepSummary(
+            records=len(recs),
+            agreements=sum(1 for rec in recs if rec.dims_agree and rec.basis_ok),
+            dimension_mismatches=sum(1 for rec in recs if not rec.dims_agree),
+            basis_failures=sum(1 for rec in recs if not rec.basis_ok),
+            table_mismatch_entries=sum(len(rec.table_mismatches) for rec in recs),
+        )
 
 
 def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
@@ -125,7 +127,9 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
             mismatches.append(TableMismatch(vertex=v, formula=claimed, bfs=ground))
 
     return SweepRecord(
-        params=(p, q, r),
+        p=p,
+        q=q,
+        r=r,
         n=g.n,
         case=result.case.tag,
         swapped=result.case.swapped,
@@ -141,20 +145,12 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
 
 def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order."""
-    records = tuple(check_triple(p, q, r) for p, q, r in valid_triples(max_n))
-    return SweepReport(max_n=max_n, records=records, summary=recompute_summary(records))
+    return SweepReport(max_n=max_n, records=tuple(check_triple(p, q, r) for p, q, r in valid_triples(max_n)))
 
-
-_PARAMS = ("p", "q", "r")
 
 #: Serialized record fields, in order: every ``SweepRecord`` field that takes
-#: part in equality (so not ``elapsed``), with ``params`` expanded to p, q, r.
-_RECORD_FIELDS = tuple(
-    name
-    for f in fields(SweepRecord)
-    if f.compare
-    for name in (_PARAMS if f.name == "params" else (f.name,))
-)
+#: part in equality (so not ``elapsed``).
+_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.compare)
 
 #: Serialized table-mismatch fields, in declaration order.
 _MISMATCH_FIELDS = tuple(f.name for f in fields(TableMismatch))
@@ -167,14 +163,10 @@ _CSV_COLUMNS = tuple(
 )
 
 
-def _field(rec: SweepRecord, name: str):
-    return rec.params[_PARAMS.index(name)] if name in _PARAMS else getattr(rec, name)
-
-
 def _json_value(rec: SweepRecord, name: str):
     if name == "table_mismatches":
         return [{f: getattr(m, f) for f in _MISMATCH_FIELDS} for m in rec.table_mismatches]
-    return _field(rec, name)
+    return getattr(rec, name)
 
 
 def _csv_cell(rec: SweepRecord, column: str):
@@ -187,7 +179,7 @@ def _csv_cell(rec: SweepRecord, column: str):
             f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
             for m in rec.table_mismatches
         )
-    return _field(rec, column)
+    return getattr(rec, column)
 
 
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
@@ -218,11 +210,11 @@ def _reader(hint) -> Callable[[object], object]:
     """The function that reads a JSON value as an instance of the annotation
     ``hint``, built once per annotation.
 
-    Arrays become tuples and objects become dataclasses, which read every
-    field that takes part in equality (a record's ``params`` from its p, q
-    and r keys).  A reader raises ``TypeError`` when a value is not of its
-    annotated type (``bool`` is not an ``int`` here) and ``KeyError`` when
-    a field is missing.
+    Arrays become tuples (every tuple field is a ``tuple[T, ...]``) and
+    objects become dataclasses, whose keys are exactly the fields that take
+    part in equality.  A reader raises ``KeyError`` when a field is missing,
+    and ``TypeError`` when a value is not of its annotated type (``bool`` is
+    not an ``int`` here) or an object has a key that is no field.
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
@@ -231,27 +223,22 @@ def _reader(hint) -> Callable[[object], object]:
         def read_object(value):
             if not isinstance(value, dict):
                 raise TypeError(f"{hint.__name__} is not a JSON object: {value!r}")
-            if hint is SweepRecord:
-                value = {**value, "params": [value[name] for name in _PARAMS]}
+            if unknown := value.keys() - readers.keys():
+                raise TypeError(f"unknown {hint.__name__} keys {sorted(unknown)}")
             return hint(**{name: read(value[name]) for name, read in readers.items()})
 
         return read_object
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is tuple:
-        variadic = args[1:] == (...,)  # tuple[T, ...]
-        readers = tuple(map(_reader, args[:1] if variadic else args))
+        read_item = _reader(args[0])
 
         def read_array(value):
             if not isinstance(value, list):
                 raise TypeError(f"expected a JSON array, got {value!r}")
-            if variadic:
-                return tuple(map(readers[0], value))
-            if len(value) != len(readers):
-                raise TypeError(f"expected {len(readers)} items, got {value!r}")
-            return tuple(read(item) for read, item in zip(readers, value))
+            return tuple(map(read_item, value))
 
         return read_array
-    if origin in (typing.Union, types.UnionType):
+    if origin is types.UnionType:  # X | None
         options = tuple(map(_reader, args))
 
         def read_union(value):
@@ -274,7 +261,8 @@ def _reader(hint) -> Callable[[object], object]:
 
 def parse_report(text: str) -> SweepReport:
     """Rebuild a report from its JSON serialization (the round-trip inverse);
-    raises ``ValueError`` on any other text."""
+    raises ``ValueError`` on any other text, including a report whose summary
+    does not tally with its records."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")
@@ -283,6 +271,12 @@ def parse_report(text: str) -> SweepReport:
     try:
         if payload["filters"] is not None:
             raise ValueError(f"unexpected report filters {payload['filters']!r}")
-        return _reader(SweepReport)(payload)
-    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
+        report = _reader(SweepReport)({f.name: payload[f.name] for f in fields(SweepReport)})
+        summary = _reader(SweepSummary)(payload["summary"])
+        if unknown := payload.keys() - {"schema", "max_n", "filters", "summary", "records"}:
+            raise TypeError(f"unknown report keys {sorted(unknown)}")
+    except (KeyError, TypeError) as exc:  # a missing key, a value of the wrong type or an unknown key
         raise ValueError(f"malformed report: {exc!r}") from exc
+    if summary != report.summary:
+        raise ValueError(f"report summary {summary} does not tally with its records, which give {report.summary}")
+    return report

@@ -105,7 +105,7 @@ def test_criterion_2_formula_oracle_sweep_to_16():
             or not rec.basis_ok
             or len(rec.basis) != rec.formula_dim
         ]
-        assert not bad, f"mismatching records: {[(r.params, r.case) for r in bad]}"
+        assert not bad, f"mismatching records: {[(r.p, r.q, r.r, r.case) for r in bad]}"
         assert report.summary.records == 637
         assert report.summary.dimension_mismatches == 0
         assert report.summary.basis_failures == 0

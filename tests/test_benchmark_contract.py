@@ -1,0 +1,21 @@
+"""The benchmark runs against the library's public API: a change to that API
+which breaks the benchmark fails here, not only when the benchmark runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-general"])
+def test_benchmark_smoke_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.2", "--smoke"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr

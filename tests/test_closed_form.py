@@ -124,6 +124,16 @@ def test_dimension_predicates_agree_everywhere():
         assert closed_form_basis(p, q, r).dimension == dimension_by_path_lengths(p, q, r), (p, q, r)
 
 
+def test_path_length_predicate_is_independent_of_the_dispatch(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dimension_by_path_lengths called the case dispatch")
+
+    monkeypatch.setattr(closed_form, "_dispatch", refuse)
+    assert [dimension_by_path_lengths(p, q, r) for p, q, r in ((3, 7, 3), (5, 3, 4), (2, 4, 4))] == [3, 2, 3]
+    with pytest.raises(InvalidParamsError):
+        dimension_by_path_lengths(1, 2, 0)
+
+
 def test_dimension_three_families():
     for p in range(2, 8):  # every instance with at most 20 vertices
         if 3 * p - 1 <= 20:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,32 @@ def test_oracle_rejects_oversized(bfs_sources):
     # C_{48,48,46} has dimension 3: size 2 is searched in full, size 3 refused.
     with pytest.raises(ValueError, match="oracle size 3 on 142 vertices"):
         metric_dimension_oracle(build_c(48, 48, 46))
+    # a refusal that computed the whole cost states it exactly
+    with pytest.raises(ValueError) as info:
+        metric_dimension_oracle(build_c(1000, 998, 2))
+    assert str(info.value) == (
+        "oracle size 2 on 2000 vertices costs 3,998,000,000 candidate-vertex units, over the budget of 64,899,744"
+    )
+
+
+def test_oracle_refuses_many_twin_classes_before_building_their_weights():
+    # A path of m spine vertices, each with two pendant leaves: the m leaf
+    # pairs are twin classes, so the first level searched is size m of 3m,
+    # whose cost has thousands of digits.  The refusal neither builds the
+    # twin weights nor computes that cost, and its message stays short.
+    m = 5000
+    edges = [(i, i + 1) for i in range(1, m)]
+    edges += [(i, m + 2 * i - leaf) for i in range(1, m + 1) for leaf in (0, 1)]
+    g = new_graph(3 * m, edges)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"oracle size {m} on {3 * m} vertices costs at least ") as info:
+            metric_dimension_oracle(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(str(info.value)) < 200, str(info.value)
+    assert peak < 16 * 10**6, peak
 
 
 def test_oracle_searches_every_level_within_the_budget():

@@ -15,7 +15,6 @@ from thetadim import (
     emit_report,
     metric_dimension_oracle,
     parse_report,
-    recompute_summary,
     sweep,
     valid_triples,
 )
@@ -46,14 +45,9 @@ def test_sweep_is_deterministic():
 def test_records_are_reproducible():
     report = sweep(7)
     for rec in report.records:
-        p, q, r = rec.params
+        p, q, r = rec.p, rec.q, rec.r
         assert check_triple(p, q, r) == rec
         assert metric_dimension_oracle(build_c(p, q, r)).dimension == rec.oracle_dim
-
-
-def test_summary_matches_recount():
-    report = sweep(10)
-    assert report.summary == recompute_summary(report.records)
 
 
 def test_midrange_sweep_has_no_dimension_or_basis_failures():
@@ -62,7 +56,7 @@ def test_midrange_sweep_has_no_dimension_or_basis_failures():
     assert report.summary.dimension_mismatches == 0
     assert report.summary.basis_failures == 0
     assert all(rec.basis_minimal for rec in report.records)
-    by_params = {rec.params: rec for rec in report.records}
+    by_params = {(rec.p, rec.q, rec.r): rec for rec in report.records}
     equal_arms = by_params[(3, 7, 3)]
     assert equal_arms.oracle_dim == 3
     assert equal_arms.formula_dim == 3
@@ -121,9 +115,20 @@ def edited_report(*path, value):
      "malformed report: TypeError.*'1'"),
     (edited_report("records", 0, "table_mismatches", 0, "note", value=None),
      "malformed report: TypeError.*None"),
+    (edited_report("comment", value="x"), r"malformed report: TypeError.*unknown report keys \['comment'\]"),
+    (edited_report("summary", "skipped", value=0),
+     r"malformed report: TypeError.*unknown SweepSummary keys \['skipped'\]"),
+    (edited_report("records", 0, "params", value=[0, 3, 1]),
+     r"malformed report: TypeError.*unknown SweepRecord keys \['params'\]"),
+    (edited_report("records", 0, "table_mismatches", 0, "distance", value=1),
+     r"malformed report: TypeError.*unknown TableMismatch keys \['distance'\]"),
+    (edited_report("summary", "records", value=99), "summary .*records=99.* does not tally"),
+    (edited_report("summary", "table_mismatch_entries", value=0),
+     "summary .*table_mismatch_entries=0.* does not tally"),
 ], ids=["not-an-object", "no-filters", "no-records", "record-not-an-object", "max-n-string",
         "basis-string", "formula-dim-null", "swapped-int", "summary-bool", "param-float",
-        "mismatch-formula-string", "mismatch-note-null"])
+        "mismatch-formula-string", "mismatch-note-null", "unknown-report-key", "unknown-summary-key",
+        "unknown-record-key", "unknown-mismatch-key", "summary-does-not-tally", "summary-entries-do-not-tally"])
 def test_parse_rejects_malformed_reports(text, message):
     with pytest.raises(ValueError, match=message):
         parse_report(text)
@@ -135,7 +140,7 @@ def test_csv_shape():
     assert rows[0][:4] == ["p", "q", "r", "n"]
     assert len(rows) == 1 + len(report.records)
     first = report.records[0]
-    assert rows[1][0] == str(first.params[0])
+    assert rows[1][:3] == [str(first.p), str(first.q), str(first.r)]
     assert rows[1][4] == first.case
 
 
