@@ -6,11 +6,20 @@ minimality, and diffs every table-claimed distance vector against BFS.
 Discrepancies never abort a sweep; they become first-class report entries,
 since auditing the formulas is the point of the harness.
 
+A sweep runs the oracle once per isomorphism class.  A theta graph is fixed
+up to isomorphism by the multiset of its hub-to-hub path lengths, metric
+dimension is an isomorphism invariant, and a record keeps only the oracle's
+dimension, not its witness; so triples with the same sorted path lengths
+share one oracle dimension.  Every other check runs per triple, in the
+triple's own labelling.
+
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
-records.  Per-record wall-clock times are kept in memory for diagnostics but
-excluded from both serialization and equality, so identical ranges produce
-byte-identical reports.
+records.  The JSON text is the standard library's with a two-space indent,
+written by a fixed layout built from the report dataclasses.  Per-record
+wall-clock times are kept in memory for diagnostics but excluded from both
+serialization and equality, so identical ranges produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -19,15 +28,17 @@ import csv
 import functools
 import io
 import json
+import operator
 import time
 import types
 import typing
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 
 from .closed_form import _closed_form
 from .resolve import _landmark_rows, _minimal, _resolves, metric_dimension_oracle
-from .theta import build_c, validate_params
+from .theta import build_c, to_theta_lengths, validate_params
 
 SCHEMA = "thetadim-sweep/1"
 
@@ -48,7 +59,12 @@ class TableMismatch:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome of all checks for one (p, q, r) triple."""
+    """Outcome of all checks for one (p, q, r) triple.
+
+    ``elapsed`` is the wall time of the checks; in a sweep, a record whose
+    isomorphism class was already seen reuses the oracle's dimension, so its
+    time leaves out the oracle.
+    """
 
     p: int
     q: int
@@ -108,10 +124,19 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
 
 def check_triple(p: int, q: int, r: int) -> SweepRecord:
     """Run every closed-form-vs-oracle check for one triple."""
+    return _check(p, q, r, {})
+
+
+def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> SweepRecord:
+    """``check_triple``, reading the oracle dimension from ``oracle_dims``,
+    keyed by sorted hub-to-hub path lengths, and storing it there on a miss."""
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r)
     g = build_c(p, q, r)
-    oracle = metric_dimension_oracle(g)
+    lengths = tuple(sorted(to_theta_lengths(p, q, r)))
+    oracle_dim = oracle_dims.get(lengths)
+    if oracle_dim is None:
+        oracle_dim = oracle_dims[lengths] = metric_dimension_oracle(g).dimension
     # The landmark rows, read once in coordinate order, settle resolution
     # and minimality (neither depends on the order) and are the BFS ground
     # truth of the table diff.
@@ -134,7 +159,7 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
         case=result.case.tag,
         swapped=result.case.swapped,
         formula_dim=result.dimension,
-        oracle_dim=oracle.dimension,
+        oracle_dim=oracle_dim,
         basis=result.basis,
         basis_ok=basis_ok,
         basis_minimal=basis_minimal,
@@ -144,16 +169,23 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
 
 
 def sweep(max_n: int) -> SweepReport:
-    """Check every valid triple with p+q+r <= max_n, in deterministic order."""
-    return SweepReport(max_n=max_n, records=tuple(check_triple(p, q, r) for p, q, r in valid_triples(max_n)))
+    """Check every valid triple with p+q+r <= max_n, in deterministic order.
+
+    The oracle runs once per isomorphism class: triples with the same sorted
+    hub-to-hub path lengths share its dimension.
+    """
+    oracle_dims: dict[tuple[int, ...], int] = {}
+    return SweepReport(max_n=max_n, records=tuple(_check(p, q, r, oracle_dims) for p, q, r in valid_triples(max_n)))
 
 
-#: Serialized record fields, in order: every ``SweepRecord`` field that takes
-#: part in equality (so not ``elapsed``).
-_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord) if f.compare)
+def _report_fields(cls) -> tuple[str, ...]:
+    """The serialized fields of a report dataclass, in declaration order:
+    every field that takes part in equality (so not ``SweepRecord.elapsed``)."""
+    return tuple(f.name for f in fields(cls) if f.compare)
 
-#: Serialized table-mismatch fields, in declaration order.
-_MISMATCH_FIELDS = tuple(f.name for f in fields(TableMismatch))
+
+#: Serialized record fields, in order.
+_RECORD_FIELDS = _report_fields(SweepRecord)
 
 #: CSV columns: the record fields, with a mismatch count before the details.
 _CSV_COLUMNS = tuple(
@@ -163,10 +195,56 @@ _CSV_COLUMNS = tuple(
 )
 
 
-def _json_value(rec: SweepRecord, name: str):
-    if name == "table_mismatches":
-        return [{f: getattr(m, f) for f in _MISMATCH_FIELDS} for m in rec.table_mismatches]
-    return getattr(rec, name)
+@functools.cache
+def _writer(hint, depth: int) -> Callable[[object], str]:
+    """The function that writes a value of the annotation ``hint`` as the
+    standard library's encoder does with a two-space indent, at nesting
+    ``depth``; built once per annotation and depth, on first use.
+
+    A value at depth d opens its array or object on its key's line, writes
+    its items at depth d + 1 and closes at depth d; an empty array is
+    ``[]``.  Objects are report dataclasses, whose keys are their
+    ``_report_fields``; ``X | None`` is ``X`` or ``null``.  Strings are
+    escaped by the standard library's encoder, as ``json.dumps`` does.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    if is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        names = _report_fields(hint)
+        heads = tuple(
+            ("," if i else "{") + inner + encode_basestring_ascii(name) + ": " for i, name in enumerate(names)
+        )
+        writers = tuple(_writer(hints[name], depth + 1) for name in names)
+        values = operator.attrgetter(*names)  # a tuple, as every report dataclass has several fields
+
+        def write_object(obj):
+            items = [head + write(value) for head, write, value in zip(heads, writers, values(obj))]
+            return "".join(items) + close + "}"
+
+        return write_object
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        write_item, sep = _writer(args[0], depth + 1), "," + inner
+
+        def write_array(items):
+            return "[" + inner + sep.join(map(write_item, items)) + close + "]" if items else "[]"
+
+        return write_array
+    if origin is types.UnionType:  # X | None
+        (write_some,) = [_writer(arg, depth) for arg in args if arg is not type(None)]
+
+        def write_optional(value):
+            return "null" if value is None else write_some(value)
+
+        return write_optional
+    if hint is bool:
+        return {True: "true", False: "false"}.__getitem__
+    if hint is int:
+        return int.__repr__
+    if hint is str:
+        return encode_basestring_ascii
+    raise TypeError(f"no JSON writer for {hint!r}")
 
 
 def _csv_cell(rec: SweepRecord, column: str):
@@ -185,17 +263,15 @@ def _csv_cell(rec: SweepRecord, column: str):
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
     """Serialize a report with stable field ordering (no timing data)."""
     if fmt == "json":
-        payload = {
-            "schema": SCHEMA,
-            "max_n": report.max_n,
-            "filters": None,  # always null; a key of the thetadim-sweep/1 schema
-            "summary": asdict(report.summary),
-            "records": [{name: _json_value(rec, name) for name in _RECORD_FIELDS} for rec in report.records],
-        }
-        # The payload is plain dicts, lists and tuples (JSON arrays), so the
-        # encoder converts no dataclass; every object keeps its dataclass's
-        # field order.
-        return json.dumps(payload, indent=2) + "\n"
+        # The text the standard library's encoder writes for the object
+        # {schema, max_n, filters, summary, records} with a two-space indent,
+        # without its pure-Python encoder, the only one that indents.
+        # filters is always null, a key of the thetadim-sweep/1 schema.
+        return (
+            f'{{\n  "schema": {encode_basestring_ascii(SCHEMA)},\n  "max_n": {report.max_n},\n  "filters": null,\n'
+            f'  "summary": {_writer(SweepSummary, 1)(report.summary)},\n'
+            f'  "records": {_writer(tuple[SweepRecord, ...], 1)(report.records)}\n}}\n'
+        )
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -218,7 +294,7 @@ def _reader(hint) -> Callable[[object], object]:
     """
     if is_dataclass(hint):
         hints = typing.get_type_hints(hint)
-        readers = {f.name: _reader(hints[f.name]) for f in fields(hint) if f.compare}
+        readers = {name: _reader(hints[name]) for name in _report_fields(hint)}
 
         def read_object(value):
             if not isinstance(value, dict):

@@ -2,22 +2,33 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
+from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadim import (
+    SweepRecord,
+    SweepReport,
+    TableMismatch,
     build_c,
     check_triple,
     emit_report,
     metric_dimension_oracle,
     parse_report,
     sweep,
+    to_theta_lengths,
     valid_triples,
 )
+
+#: The module, which the package's ``sweep`` function shadows as an attribute.
+sweep_module = importlib.import_module("thetadim.sweep")
 
 
 def test_smallest_order_enumeration():
@@ -62,6 +73,137 @@ def test_midrange_sweep_has_no_dimension_or_basis_failures():
     assert equal_arms.formula_dim == 3
     assert equal_arms.basis_ok
     assert equal_arms.case == "T4-P1"
+
+
+def test_oracle_dimension_is_one_per_isomorphism_class():
+    # The sweep runs the oracle once per class of sorted hub-to-hub path
+    # lengths; here it runs on every labelling, so a class whose labellings
+    # disagreed would show.
+    dims = defaultdict(set)
+    by_params = {}
+    for p, q, r in valid_triples(16):
+        dim = metric_dimension_oracle(build_c(p, q, r)).dimension
+        dims[tuple(sorted(to_theta_lengths(p, q, r)))].add(dim)
+        by_params[(p, q, r)] = dim
+    assert len(by_params) == 637 and len(dims) == 132
+    assert all(len(found) == 1 for found in dims.values())
+    report = sweep(16)
+    assert {(rec.p, rec.q, rec.r): rec.oracle_dim for rec in report.records} == by_params
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The graph of every oracle call the sweep module makes, in order."""
+    graphs = []
+    oracle = sweep_module.metric_dimension_oracle
+
+    def counting(g):
+        graphs.append(g)
+        return oracle(g)
+
+    monkeypatch.setattr(sweep_module, "metric_dimension_oracle", counting)
+    return graphs
+
+
+def test_sweep_runs_the_oracle_once_per_isomorphism_class(oracle_calls):
+    report = sweep(12)
+    assert len(report.records) == 255
+    assert len(oracle_calls) == 56
+
+
+def test_check_triple_runs_the_oracle_on_every_call(oracle_calls):
+    for _ in range(2):
+        check_triple(0, 3, 1)
+        check_triple(1, 2, 1)  # the same class as (0, 3, 1)
+    assert len(oracle_calls) == 4
+
+
+def indent2_json(report):
+    """The JSON report as the standard library's encoder writes it."""
+    payload = {
+        "schema": "thetadim-sweep/1",
+        "max_n": report.max_n,
+        "filters": None,
+        "summary": asdict(report.summary),
+        "records": [{k: v for k, v in asdict(rec).items() if k != "elapsed"} for rec in report.records],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_empty_report_layout():
+    report = sweep(3)
+    text = emit_report(report)
+    assert text == """{
+  "schema": "thetadim-sweep/1",
+  "max_n": 3,
+  "filters": null,
+  "summary": {
+    "records": 0,
+    "agreements": 0,
+    "dimension_mismatches": 0,
+    "basis_failures": 0,
+    "table_mismatch_entries": 0
+  },
+  "records": []
+}
+"""
+    assert text == indent2_json(report)
+    assert parse_report(text) == report
+
+
+def test_empty_mismatch_list_and_null_formula_layouts():
+    clean, ambiguous = check_triple(0, 4, 1), check_triple(0, 3, 2)
+    assert clean.table_mismatches == ()
+    assert ambiguous.table_mismatches == (TableMismatch(vertex=1, formula=None, bfs=(1, 2), note="ambiguous"),)
+    report = SweepReport(max_n=5, records=(clean, ambiguous))
+    text = emit_report(report)
+    assert '      "table_mismatches": []\n    },\n' in text
+    assert """      "table_mismatches": [
+        {
+          "vertex": 1,
+          "formula": null,
+          "bfs": [
+            1,
+            2
+          ],
+          "note": "ambiguous"
+        }
+      ]
+    }
+""" in text
+    assert text == indent2_json(report)
+    assert parse_report(text) == report
+
+
+_int_tuples = st.lists(st.integers(), max_size=3).map(tuple)
+_mismatches = st.builds(
+    TableMismatch,
+    vertex=st.integers(),
+    formula=st.none() | _int_tuples,
+    bfs=_int_tuples,
+    note=st.text(max_size=4),
+)
+_records = st.builds(
+    SweepRecord,
+    p=st.integers(),
+    q=st.integers(),
+    r=st.integers(),
+    n=st.integers(),
+    case=st.text(max_size=6),
+    swapped=st.booleans(),
+    formula_dim=st.integers(),
+    oracle_dim=st.integers(),
+    basis=_int_tuples,
+    basis_ok=st.booleans(),
+    basis_minimal=st.booleans(),
+    table_mismatches=st.lists(_mismatches, max_size=3).map(tuple),
+)
+
+
+@settings(deadline=None)
+@given(st.builds(SweepReport, max_n=st.integers(), records=st.lists(_records, max_size=3).map(tuple)))
+def test_json_report_is_the_standard_encoders_text(report):
+    assert emit_report(report) == indent2_json(report)
 
 
 def test_json_round_trip_on_empty_report():
@@ -194,7 +336,7 @@ def test_report_bytes_are_pinned_to_32():
 
 @pytest.mark.slow
 def test_sweep_to_60_agrees_everywhere():
-    # the verified range of ROADMAP item 1; about 30 s, so marked slow
+    # the verified range of ROADMAP item 1; about 12 s, so marked slow
     summary = sweep(60).summary
     assert asdict(summary) == {
         "records": 35815,
