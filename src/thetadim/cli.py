@@ -137,7 +137,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landmarks(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ quoting for names that contain spaces::
     link "Field 1" "Field 2"
 
 Each line splits into tokens exactly as ``shlex.split(line, comments=True)``
-splits it (POSIX rules), by one compiled pattern:
+splits it (POSIX rules):
 
 - whitespace is only space, tab, CR and LF, so ``\x0b`` is part of a word;
 - outside quotes, ``#`` starts a comment, even in the middle of a word
@@ -25,6 +25,18 @@ An unclosed quote or a trailing backslash makes the line unparsable, with
 the message shlex gives.  Lines end at every ``str.splitlines`` boundary, so a name
 cannot contain a line break (``\n``, ``\x0b``, ``\x0c``, ``\x85``,
 ``\u2028``, ...), and it cannot be empty.
+
+``parse_network`` matches each whole line once against one pattern: up to
+three words, then an optional comment.  A ``node NAME`` or ``link A B``
+line that matches and passes every rule is accepted there, and each
+distinct raw word is decoded (quotes and escapes removed) once per parse,
+so a name is not decoded again on every link that uses it.  Every other
+line (four or more words, an unclosed quote or trailing backslash, an
+unknown directive, the wrong number of names, a duplicate, an unknown
+name or a self-link) is split again by the tokenizer and read by the
+directive rules, which name the fault and its line.  The pattern and the
+tokenizer take their words from one rule, ``_WORD``, under which a line
+the pattern does not match is refused in linear time.
 
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
@@ -74,6 +86,53 @@ class LandmarkTable:
     method: str
 
 
+_DOUBLE_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'  # inside double quotes: plain runs, each escape between two
+# A word: bare characters, escapes and quoted pieces, joined.  A bare piece
+# is one character and every piece is known by its first character, so a
+# word splits into pieces one way only and a long word that fails to match
+# backtracks in linear time (Python 3.10 has no possessive quantifiers).
+_WORD = rf"""(?:[^ \t\r\n'"\\#]|\\.|'[^']*'|"{_DOUBLE_BODY}")+"""
+
+
+@functools.cache
+def _word_decoder() -> Callable[[str], str]:
+    """``decode(word)``: the token text of one raw word matched by ``_WORD``,
+    with its quotes and escapes removed."""
+    piece = re.compile(rf"""'([^']*)'|"({_DOUBLE_BODY})"|\\(.)""", re.DOTALL)
+    double_escape = re.compile(r'\\([\\"])')
+
+    def piece_text(m: re.Match) -> str:
+        single, double, escaped = m.groups()
+        if double is not None:
+            return double_escape.sub(r"\1", double)
+        return single if single is not None else escaped
+
+    def decode(word: str) -> str:
+        if "\\" in word or '"' in word:
+            return piece.sub(piece_text, word)
+        if "'" in word:
+            return word.replace("'", "")
+        return word
+
+    return decode
+
+
+class _DecodedWords(dict[str, str]):
+    """Token text by raw word; looking up a missing word decodes it.
+
+    One parse keeps one, so a name is decoded on its node line and read back
+    on every link that uses it.
+    """
+
+    def __init__(self, decode: Callable[[str], str]):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, word: str) -> str:
+        text = self[word] = self.decode(word)
+        return text
+
+
 @functools.cache
 def _line_splitter() -> Callable[[str], list[str]]:
     """The line tokenizer: ``split(line)`` gives the tokens of one line, as
@@ -85,32 +144,20 @@ def _line_splitter() -> Callable[[str], list[str]]:
     them.  The cache publishes the finished tokenizer at once, so threads
     that parse their first networks together never see half of it.
     """
-    double_body = r'(?:[^"\\]|\\.)*'  # inside double quotes: any character but " and \, or an escape
     lexeme = re.compile(
-        rf"""((?:[^ \t\r\n'"\\#]+|\\.|'[^']*'|"{double_body}")+)"""  # a word: bare, escaped and quoted pieces
+        rf"({_WORD})"
         r"|#[^\n]*"  # a comment, to the end of the line
-        rf'|((?:\\|"{double_body}\\)\Z)'  # a trailing backslash, outside or inside double quotes
+        rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
         r"""|(['"]).*""",  # an unclosed quote
         re.DOTALL,
     )
-    piece = re.compile(rf"""'([^']*)'|"({double_body})"|\\(.)""", re.DOTALL)
-    double_escape = re.compile(r'\\([\\"])')
-
-    def piece_text(m: re.Match) -> str:
-        single, double, escaped = m.groups()
-        if double is not None:
-            return double_escape.sub(r"\1", double)
-        return single if single is not None else escaped
+    decode = _word_decoder()
 
     def split(line: str) -> list[str]:
         tokens = []
         for word, no_escaped, no_closing in lexeme.findall(line):
             if word:
-                if "\\" in word or '"' in word:
-                    word = piece.sub(piece_text, word)
-                elif "'" in word:
-                    word = word.replace("'", "")
-                tokens.append(word)
+                tokens.append(decode(word))
             elif no_escaped:
                 raise ValueError("No escaped character")
             elif no_closing:
@@ -118,6 +165,20 @@ def _line_splitter() -> Callable[[str], list[str]]:
         return tokens
 
     return split
+
+
+@functools.cache
+def _line_matcher() -> Callable[[str], re.Match | None]:
+    """``match(line)``: the match of a whole line of at most three words and
+    an optional comment, or None.  Its groups are the raw words, None for a
+    word the line does not have.  Compiled on the first parse, as the
+    tokenizer is.
+    """
+    blank = r"[ \t\r\n]"
+    return re.compile(
+        rf"{blank}*(?:({_WORD})(?:{blank}+({_WORD})(?:{blank}+({_WORD}))?)?{blank}*)?(?:#[^\n]*)?",
+        re.DOTALL,
+    ).fullmatch
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -128,8 +189,30 @@ def parse_network(text: str) -> NetworkSpec:
     seen_nodes: set[str] = set()
     links: list[tuple[str, str]] = []
     seen_links: set[tuple[str, str]] = set()
+    match_line = _line_matcher()
     split_line = _line_splitter()
+    names = _DecodedWords(_word_decoder())
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = match_line(raw)
+        if line is not None:
+            directive, first, second = line.groups()
+            if directive is None:
+                continue
+            if directive == "node" and second is None and first is not None:
+                name = names[first]
+                if name and name not in seen_nodes:
+                    seen_nodes.add(name)
+                    nodes.append(name)
+                    continue
+            elif directive == "link" and second is not None:
+                a, b = names[first], names[second]
+                key = (a, b) if a < b else (b, a)
+                if a != b and a in seen_nodes and b in seen_nodes and key not in seen_links:
+                    seen_links.add(key)
+                    links.append((a, b))
+                    continue
+        # Every line the checks above do not accept is read again by the
+        # tokenizer and the directive rules, which name what is wrong with it.
         try:
             tokens = split_line(raw)
         except ValueError as exc:
@@ -156,7 +239,7 @@ def parse_network(text: str) -> NetworkSpec:
                     raise NetworkParseError(lineno, f"unknown node {name!r}")
             if a == b:
                 raise NetworkParseError(lineno, f"self-link at {a!r}")
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in seen_links:
                 raise NetworkParseError(lineno, f"duplicate link {a!r} -- {b!r}")
             seen_links.add(key)
@@ -202,11 +285,20 @@ def format_network(spec: NetworkSpec) -> str:
 
 def network_graph(spec: NetworkSpec) -> Graph:
     """Labelled graph of the network (node i of the declaration order is
-    vertex i).  Raises ``ValueError`` when the network is disconnected."""
+    vertex i).  Raises ``ValueError`` when the network declares no node or
+    a node twice, links an undeclared node or a node to itself, or is
+    disconnected."""
     if not spec.nodes:
         raise ValueError("network declares no nodes")
     index = {name: i for i, name in enumerate(spec.nodes, start=1)}
-    g = new_graph(len(spec.nodes), [(index[a], index[b]) for a, b in spec.links])
+    if len(index) != len(spec.nodes):
+        twice = next(name for i, name in enumerate(spec.nodes, start=1) if index[name] != i)
+        raise ValueError(f"duplicate node {twice!r}")
+    try:
+        edges = [(index[a], index[b]) for a, b in spec.links]
+    except KeyError as exc:
+        raise ValueError(f"unknown node {exc.args[0]!r}") from None
+    g = new_graph(len(spec.nodes), edges)
     if not g.is_connected():
         raise ValueError("network graph is disconnected")
     return g

@@ -135,21 +135,22 @@ def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     n = g.n
     if n < 4 or len(g.edges) != n + 1:
         return None
-    degrees = [g.degree(v) for v in range(1, n + 1)]
-    hubs = [v for v in range(1, n + 1) if degrees[v - 1] == 3]
+    adj = g.adjacency
+    degrees = list(map(len, adj[1:]))
+    hubs = [v for v, d in enumerate(degrees, start=1) if d == 3]
     if len(hubs) != 2 or any(d not in (2, 3) for d in degrees):
         return None
     if not g.is_connected():
         return None
     hub_a, hub_b = hubs
     chains: list[tuple[int, ...]] = []
-    for first in g.adjacency[hub_a]:
+    for first in adj[hub_a]:
         chain: list[int] = []
         prev, cur = hub_a, first
-        while g.degree(cur) == 2:
+        while len(adj[cur]) == 2:
             chain.append(cur)
-            step = [w for w in g.adjacency[cur] if w != prev]
-            prev, cur = cur, step[0]
+            x, y = adj[cur]
+            prev, cur = cur, (y if x == prev else x)
         if cur != hub_b:
             return None
         chains.append(tuple(chain))

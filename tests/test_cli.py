@@ -136,6 +136,15 @@ def test_landmarks_on_field_fixture(tmp_path, capsys):
     assert len(lines) == 2 + 12
 
 
+def test_landmarks_reads_past_a_byte_order_mark(tmp_path, capsys):
+    net = tmp_path / "bom.net"
+    net.write_text("node a\nnode b\nlink a b\n", encoding="utf-8-sig")
+    assert net.read_bytes().startswith(b"\xef\xbb\xbfnode a")
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, err) == (0, "")
+    assert out == "method\toracle\nlandmarks\ta\na\t0\nb\t1\n"
+
+
 def test_landmarks_parse_error_exit_two(tmp_path, capsys):
     net = tmp_path / "bad.net"
     net.write_text("node a\nlnik a b\n")

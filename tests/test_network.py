@@ -1,9 +1,12 @@
 """Network parsing, serialization, and landmark assignment."""
 
+import os
 import random
 import shlex
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,6 +191,112 @@ def test_first_line_splits_are_thread_safe():
         sys.setswitchinterval(interval)
 
 
+def reference_parse(text):
+    """parse_network's directive rules over ``str.splitlines`` and
+    ``shlex.split(line, comments=True)``."""
+    nodes, links, linked = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            tokens = shlex.split(line, comments=True)
+        except ValueError as exc:
+            raise NetworkParseError(lineno, f"unparsable line ({exc})") from None
+        if not tokens:
+            continue
+        directive, *args = tokens
+        if directive == "node":
+            if len(args) != 1:
+                raise NetworkParseError(lineno, "node takes exactly one name")
+            if not args[0]:
+                raise NetworkParseError(lineno, "empty node name")
+            if args[0] in nodes:
+                raise NetworkParseError(lineno, f"duplicate node {args[0]!r}")
+            nodes.append(args[0])
+        elif directive == "link":
+            if len(args) != 2:
+                raise NetworkParseError(lineno, "link takes exactly two names")
+            a, b = args
+            for name in args:
+                if name not in nodes:
+                    raise NetworkParseError(lineno, f"unknown node {name!r}")
+            if a == b:
+                raise NetworkParseError(lineno, f"self-link at {a!r}")
+            if {a, b} in linked:
+                raise NetworkParseError(lineno, f"duplicate link {a!r} -- {b!r}")
+            linked.append({a, b})
+            links.append((a, b))
+        else:
+            raise NetworkParseError(lineno, f"unknown directive {directive!r}")
+    return NetworkSpec(nodes=tuple(nodes), links=tuple(links))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except NetworkParseError as exc:
+        return exc.line, str(exc)
+
+
+# every str.splitlines boundary, both quotes, backslash, comment and blanks,
+# and pieces of node and link lines
+_TEXT_PIECES = ["\r\n", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+                "'", '"', "\\", "#", " ", "\t", "node ", "link ", "a", "b", "'a b'"]
+# spellings of a few names, so duplicate nodes, unknown names, self-links and
+# duplicate links are common; the last three are no name
+_TEXT_NAMES = ["a", "'a'", "b", '"b"', "'a b'", "a\\ b", "a#", "c", "''", "'a", "a\\"]
+_TEXT_NAME = st.sampled_from(_TEXT_NAMES)
+_TEXT_LINE = st.one_of(
+    st.builds("node {}".format, _TEXT_NAME),
+    st.builds("link {} {}".format, _TEXT_NAME, _TEXT_NAME),
+    st.lists(st.sampled_from(_TEXT_PIECES), max_size=10).map("".join),
+)
+_TEXT = st.lists(st.tuples(_TEXT_LINE, st.sampled_from(_TEXT_PIECES[:8])), max_size=10).map(
+    lambda lines: "".join(line + end for line, end in lines)
+)
+
+
+@settings(deadline=None, max_examples=600)
+@given(_TEXT)
+@example("node a\nnode 'b'\nlink a b\nlink \"b\" 'a'\n")
+@example("node " + "a" * 5000 + "'")
+@example("node a\nlink a " + "b" * 5000 + '"')
+@example("a" * 5000 + "\\")
+def test_parse_agrees_with_a_shlex_reference(text):
+    assert _parse_outcome(parse_network, text) == _parse_outcome(reference_parse, text)
+
+
+# Each text is one line that no pattern of linear cost could take long on.
+_PARSE_IN_CHILD = (
+    "import sys\n"
+    "from thetadim import NetworkParseError, parse_network\n"
+    "try:\n"
+    "    parse_network(sys.stdin.read())\n"
+    "except NetworkParseError as exc:\n"
+    "    print(exc)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a" * 100_000 + "'", "unparsable line (No closing quotation)"),
+        ("'" * 200_001, "unparsable line (No closing quotation)"),
+        ("\\" * 200_001, "unparsable line (No escaped character)"),
+        ("node " + "a " * 100_000, "node takes exactly one name"),
+    ],
+    ids=["long-word-open-quote", "quotes", "backslashes", "many-words"],
+)
+def test_parse_cost_is_bounded(text, message):
+    # The parse runs in a child process that is killed at the time bound, so
+    # a pattern that backtracks super-linearly fails the test instead of
+    # hanging it.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_IN_CHILD],
+        input=text, env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.stdout, proc.stderr) == (f"line 1: {message}\n", "")
+
+
 @st.composite
 def valid_network_specs(draw):
     """Specs parse_network could return, over arbitrary text names."""
@@ -266,6 +375,19 @@ def test_format_refuses_what_parse_rejects(spec, message):
 def test_graph_build_reports_disconnection():
     with pytest.raises(ValueError, match="disconnected"):
         network_graph(NetworkSpec(nodes=("a", "b"), links=()))
+
+
+@pytest.mark.parametrize(
+    ("spec", "message"),
+    [
+        (NetworkSpec(nodes=("a", "b", "a"), links=(("a", "b"),)), "duplicate node 'a'"),
+        (NetworkSpec(nodes=("a", "c"), links=(("a", "c"), ("a", "b"))), "unknown node 'b'"),
+    ],
+    ids=["duplicate-node", "undeclared-node"],
+)
+def test_graph_build_names_a_bad_spec(spec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        network_graph(spec)
 
 
 def test_graph_build_rejects_empty():
