@@ -26,17 +26,20 @@ the message shlex gives.  Lines end at every ``str.splitlines`` boundary, so a n
 cannot contain a line break (``\n``, ``\x0b``, ``\x0c``, ``\x85``,
 ``\u2028``, ...), and it cannot be empty.
 
-``parse_network`` matches each whole line once against one pattern: up to
-three words, then an optional comment.  A ``node NAME`` or ``link A B``
-line that matches and passes every rule is accepted there, and each
-distinct raw word is decoded (quotes and escapes removed) once per parse,
-so a name is not decoded again on every link that uses it.  Every other
-line (four or more words, an unclosed quote or trailing backslash, an
-unknown directive, the wrong number of names, a duplicate, an unknown
-name or a self-link) is split again by the tokenizer and read by the
-directive rules, which name the fault and its line.  The pattern and the
-tokenizer take their words from one rule, ``_WORD``, under which a line
-the pattern does not match is refused in linear time.
+``parse_network`` takes a text in two steps.  The accept step matches
+every line once against one pattern (a ``node NAME`` or ``link A B`` line,
+or a blank or comment line, each with an optional trailing comment),
+mapping the matcher over the lines at C level, and stops at the first line
+that does not match.  It decodes each distinct raw word (quotes and escapes
+removed) once per parse, then checks the whole spec with set and dict
+operations: node names non-empty and unique, each link's two names declared
+on earlier lines, no self-link and no link repeated in either orientation.
+A text that passes is accepted there and then.  Any other text goes to the
+explain step, which reads it line by line by the tokenizer and the
+directive rules, and either returns its spec (a quoted directive, say) or
+names the first faulty line and its fault.  The pattern and the tokenizer
+take their words from one rule, ``_WORD``, under which a line the pattern
+does not match is refused in linear time.
 
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
@@ -51,9 +54,11 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, compress, count, repeat
+from operator import lt
 
 from .closed_form import closed_form_basis
 from .graphs import Graph, new_graph
@@ -104,7 +109,7 @@ def _word_decoder() -> Callable[[str], str]:
     def piece_text(m: re.Match) -> str:
         single, double, escaped = m.groups()
         if double is not None:
-            return double_escape.sub(r"\1", double)
+            return double_escape.sub(r"\1", double) if "\\" in double else double
         return single if single is not None else escaped
 
     def decode(word: str) -> str:
@@ -169,14 +174,15 @@ def _line_splitter() -> Callable[[str], list[str]]:
 
 @functools.cache
 def _line_matcher() -> Callable[[str], re.Match | None]:
-    """``match(line)``: the match of a whole line of at most three words and
-    an optional comment, or None.  Its groups are the raw words, None for a
-    word the line does not have.  Compiled on the first parse, as the
-    tokenizer is.
+    """``match(line)``: the match of a whole ``node NAME`` or ``link A B``
+    line, or of a blank or comment line, with an optional trailing comment;
+    None for any other line.  Its groups are the raw words
+    ``(NAME, None, None)``, ``(None, A, B)`` or ``(None, None, None)``.
+    Compiled on the first parse, as the tokenizer is.
     """
     blank = r"[ \t\r\n]"
     return re.compile(
-        rf"{blank}*(?:({_WORD})(?:{blank}+({_WORD})(?:{blank}+({_WORD}))?)?{blank}*)?(?:#[^\n]*)?",
+        rf"{blank}*(?:(?:node{blank}+({_WORD})|link{blank}+({_WORD}){blank}+({_WORD})){blank}*)?(?:#[^\n]*)?",
         re.DOTALL,
     ).fullmatch
 
@@ -185,34 +191,60 @@ def parse_network(text: str) -> NetworkSpec:
     """Parse network text, rejecting duplicate nodes, unknown names in links,
     self-links, and duplicate links.  Comments (#) and blank lines are
     ignored."""
+    spec = _accept(text)
+    return spec if spec is not None else _explain(text)
+
+
+def _accept(text: str) -> NetworkSpec | None:
+    """The accept step: the spec of a well-formed text, or None for any
+    other text.
+
+    Every line is matched once, at C level, and the spec is then checked as
+    a whole by set and dict operations.  Nothing here names a fault; for a
+    text refused here, ``_explain`` does.
+    """
+    names = _DecodedWords(_word_decoder())
+    names[None] = None
+    try:
+        # Three entries a line: a node line's name, a link line's two names,
+        # and None for each name the line does not have.
+        words = list(map(names.__getitem__, chain.from_iterable(
+            map(re.Match.groups, map(_line_matcher(), text.splitlines()))
+        )))
+    except TypeError:  # groups() of None: a line the matcher refuses
+        return None
+    if "" in names.values():  # an empty name
+        return None
+    named, firsts, seconds = words[0::3], words[1::3], words[2::3]
+    nodes = list(filter(None, named))
+    # The index of the line that declares each node.
+    declared = dict(zip(nodes, compress(count(), named)))
+    a, b = list(filter(None, firsts)), list(filter(None, seconds))
+    linked = set(zip(a, b))
+    undeclared = len(named)  # past every line, for a name no line declares
+    if (
+        len(declared) != len(nodes)  # a duplicate node
+        # a link to a node declared on a later line or on none
+        or not all(map(lt, map(declared.get, a, repeat(undeclared)), compress(count(), firsts)))
+        or not all(map(lt, map(declared.get, b, repeat(undeclared)), compress(count(), firsts)))
+        or len(linked) != len(a)  # a link repeated in one orientation
+        # or in both, or a self-link, which is its own reverse
+        or not linked.isdisjoint(zip(b, a))
+    ):
+        return None
+    return NetworkSpec(nodes=tuple(nodes), links=tuple(zip(a, b)))
+
+
+def _explain(text: str) -> NetworkSpec:
+    """The explain step: read the text line by line by the tokenizer and the
+    directive rules, giving its spec or a ``NetworkParseError`` that names
+    its first faulty line."""
     nodes: list[str] = []
     seen_nodes: set[str] = set()
     links: list[tuple[str, str]] = []
     seen_links: set[tuple[str, str]] = set()
-    match_line = _line_matcher()
     split_line = _line_splitter()
-    names = _DecodedWords(_word_decoder())
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = match_line(raw)
-        if line is not None:
-            directive, first, second = line.groups()
-            if directive is None:
-                continue
-            if directive == "node" and second is None and first is not None:
-                name = names[first]
-                if name and name not in seen_nodes:
-                    seen_nodes.add(name)
-                    nodes.append(name)
-                    continue
-            elif directive == "link" and second is not None:
-                a, b = names[first], names[second]
-                key = (a, b) if a < b else (b, a)
-                if a != b and a in seen_nodes and b in seen_nodes and key not in seen_links:
-                    seen_links.add(key)
-                    links.append((a, b))
-                    continue
-        # Every line the checks above do not accept is read again by the
-        # tokenizer and the directive rules, which name what is wrong with it.
         try:
             tokens = split_line(raw)
         except ValueError as exc:
@@ -265,8 +297,19 @@ def format_network(spec: NetworkSpec) -> str:
         if name in declared:
             raise ValueError(f"duplicate node {name!r}")
         declared.add(name)
+    _check_links(spec.links, declared)
+    import shlex  # only writing network text quotes names; parsing never needs shlex
+
+    lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
+    lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
+    return "\n".join(lines) + "\n"
+
+
+def _check_links(links: tuple[tuple[str, str], ...], declared: Container[str]) -> None:
+    """Raise ``ValueError`` naming the first link to an undeclared node,
+    self-link, or link repeated in either orientation."""
     linked: set[tuple[str, str]] = set()
-    for a, b in spec.links:
+    for a, b in links:
         for name in (a, b):
             if name not in declared:
                 raise ValueError(f"unknown node {name!r}")
@@ -276,18 +319,14 @@ def format_network(spec: NetworkSpec) -> str:
         if key in linked:
             raise ValueError(f"duplicate link {a!r} -- {b!r}")
         linked.add(key)
-    import shlex  # only writing network text quotes names; parsing never needs shlex
-
-    lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
-    lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
-    return "\n".join(lines) + "\n"
 
 
 def network_graph(spec: NetworkSpec) -> Graph:
     """Labelled graph of the network (node i of the declaration order is
     vertex i).  Raises ``ValueError`` when the network declares no node or
-    a node twice, links an undeclared node or a node to itself, or is
-    disconnected."""
+    a node twice, links an undeclared node or a node to itself, repeats a
+    link in either orientation, or is disconnected; a bad link gets the
+    message ``format_network`` gives it."""
     if not spec.nodes:
         raise ValueError("network declares no nodes")
     index = {name: i for i, name in enumerate(spec.nodes, start=1)}
@@ -295,10 +334,12 @@ def network_graph(spec: NetworkSpec) -> Graph:
         twice = next(name for i, name in enumerate(spec.nodes, start=1) if index[name] != i)
         raise ValueError(f"duplicate node {twice!r}")
     try:
-        edges = [(index[a], index[b]) for a, b in spec.links]
-    except KeyError as exc:
-        raise ValueError(f"unknown node {exc.args[0]!r}") from None
-    g = new_graph(len(spec.nodes), edges)
+        g = new_graph(len(spec.nodes), [(index[a], index[b]) for a, b in spec.links])
+    except (KeyError, ValueError):  # a link to an undeclared node, or a self-link
+        _check_links(spec.links, index)
+        raise
+    if len(g.edges) != len(spec.links):  # a link repeated in either orientation
+        _check_links(spec.links, index)
     if not g.is_connected():
         raise ValueError("network graph is disconnected")
     return g

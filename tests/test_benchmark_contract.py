@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-general"])
+@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-theta", "landmarks-general"])
 def test_benchmark_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.2", "--smoke"],

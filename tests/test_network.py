@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -148,10 +149,13 @@ def test_malformed_line_names_the_shlex_error(line, message):
         parse_network("node b\n" + line + "\n")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a well-formed text reached shlex or the line-by-line reader")
+
+
 def test_well_formed_lines_never_reach_shlex(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("shlex.split called on a network line")
-    monkeypatch.setattr(shlex, "split", refuse)
+    monkeypatch.setattr(shlex, "split", _refuse)
+    monkeypatch.setattr(network, "_line_splitter", _refuse)
     assert parse_network(field_network_text()).nodes[0] == "Field 1"
     g = build_c(600, 400, 500)
     labels = list(range(1, g.n + 1))
@@ -257,24 +261,107 @@ _TEXT = st.lists(st.tuples(_TEXT_LINE, st.sampled_from(_TEXT_PIECES[:8])), max_s
 @settings(deadline=None, max_examples=600)
 @given(_TEXT)
 @example("node a\nnode 'b'\nlink a b\nlink \"b\" 'a'\n")
-@example("node " + "a" * 5000 + "'")
-@example("node a\nlink a " + "b" * 5000 + '"')
-@example("a" * 5000 + "\\")
 def test_parse_agrees_with_a_shlex_reference(text):
     assert _parse_outcome(parse_network, text) == _parse_outcome(reference_parse, text)
 
 
-# Each text is one line that no pattern of linear cost could take long on.
+def _spell(name, style):
+    """A word that the tokenizer reads as ``name``."""
+    if style == "bare":
+        return "".join("\\" + c if c in " \t'\"\\#" else c for c in name)
+    if style == "single":
+        return "'" + name.replace("'", "'\\''") + "'"
+    if style == "double":
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return "".join("\\" + c for c in name)  # every character escaped
+
+
+@st.composite
+def interleaved_network_texts(draw):
+    """A valid network text and its spec.  Each link line comes after the
+    node lines of both its names, not always right after; each name is spelt
+    anew wherever it appears, as two halves spelt each their own way; blank
+    lines, comments and line ends vary."""
+    nodes = draw(st.lists(st.text(alphabet="ab '\"\\#\té", min_size=1, max_size=5), max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    after = [[] for _ in nodes]  # the link lines that follow each node line
+    for a, b in links:
+        if draw(st.booleans()):
+            a, b = b, a
+        last = max(nodes.index(a), nodes.index(b))
+        after[draw(st.integers(last, len(nodes) - 1))].append((a, b))
+
+    styles = st.sampled_from(["bare", "single", "double", "escaped"])
+    blanks = st.sampled_from(["", " ", "\t", "  "])
+
+    def line(*words):
+        half = [draw(st.integers(0, len(w))) for w in words[1:]]
+        names = [_spell(w[:k], draw(styles)) + _spell(w[k:], draw(styles)) for w, k in zip(words[1:], half)]
+        gap = draw(st.sampled_from([" ", "\t", " \t "]))
+        comment = draw(st.sampled_from(["", " # note", "\t#'unclosed \\"]))
+        filler = draw(st.sampled_from(["", "\n", "# a comment\n", " \t\r\n"]))
+        end = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028"]))
+        return filler + draw(blanks) + gap.join([words[0], *names]) + draw(blanks) + comment + end
+
+    text, spec_links = "", []
+    for name, later in zip(nodes, after):
+        text += line("node", name)
+        for a, b in later:
+            text += line("link", a, b)
+            spec_links.append((a, b))
+    return text, NetworkSpec(nodes=tuple(nodes), links=tuple(spec_links))
+
+
+@settings(deadline=None, max_examples=300)
+@given(interleaved_network_texts())
+@example(("node a\nlink a b\nnode b\n", (2, "line 2: unknown node 'b'")))
+def test_parse_accepts_interleaved_node_and_link_lines(case):
+    text, expected = case
+    assert _parse_outcome(reference_parse, text) == expected
+    if isinstance(expected, NetworkSpec):
+        # a valid text never reaches the line-by-line reader
+        with mock.patch.object(network, "_line_splitter", _refuse):
+            assert parse_network(text) == expected
+    else:
+        assert _parse_outcome(parse_network, text) == expected
+
+
 _PARSE_IN_CHILD = (
     "import sys\n"
     "from thetadim import NetworkParseError, parse_network\n"
     "try:\n"
-    "    parse_network(sys.stdin.read())\n"
+    "    print(repr(parse_network(sys.stdin.buffer.read().decode())))\n"
     "except NetworkParseError as exc:\n"
     "    print(exc)\n"
 )
 
 
+def _parse_in_child(text):
+    """``(stdout, stderr)`` of a child process that parses ``text`` and
+    prints the spec's repr or the error.  The child is killed at a 5 s time
+    bound, so a pattern that backtracks super-linearly fails the calling test
+    instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_IN_CHILD],
+        input=text, env=env, capture_output=True, text=True, timeout=5,
+    )
+    return proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["node " + "a" * 5000 + "'", "node a\nlink a " + "b" * 5000 + '"', "a" * 5000 + "\\"],
+    ids=["open-quote", "open-double-quote", "trailing-backslash"],
+)
+def test_long_lines_agree_with_a_shlex_reference(text):
+    expected = _parse_outcome(reference_parse, text)
+    printed = expected[1] if isinstance(expected, tuple) else repr(expected)
+    assert _parse_in_child(text) == (f"{printed}\n", "")
+
+
+# Each text is one line that no pattern of linear cost could take long on.
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -286,15 +373,7 @@ _PARSE_IN_CHILD = (
     ids=["long-word-open-quote", "quotes", "backslashes", "many-words"],
 )
 def test_parse_cost_is_bounded(text, message):
-    # The parse runs in a child process that is killed at the time bound, so
-    # a pattern that backtracks super-linearly fails the test instead of
-    # hanging it.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARSE_IN_CHILD],
-        input=text, env=env, capture_output=True, text=True, timeout=5,
-    )
-    assert (proc.stdout, proc.stderr) == (f"line 1: {message}\n", "")
+    assert _parse_in_child(text) == (f"line 1: {message}\n", "")
 
 
 @st.composite
@@ -382,8 +461,14 @@ def test_graph_build_reports_disconnection():
     [
         (NetworkSpec(nodes=("a", "b", "a"), links=(("a", "b"),)), "duplicate node 'a'"),
         (NetworkSpec(nodes=("a", "c"), links=(("a", "c"), ("a", "b"))), "unknown node 'b'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("b", "b"))), "self-link at 'b'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("a", "b"))), "duplicate link 'a' -- 'b'"),
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("b", "a"))), "duplicate link 'b' -- 'a'"),
+        # the first faulty link is named, as format_network names it
+        (NetworkSpec(nodes=("a", "b"), links=(("a", "a"), ("a", "c"))), "self-link at 'a'"),
     ],
-    ids=["duplicate-node", "undeclared-node"],
+    ids=["duplicate-node", "undeclared-node", "self-link", "duplicate-link", "reversed-duplicate-link",
+         "first-fault"],
 )
 def test_graph_build_names_a_bad_spec(spec, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
