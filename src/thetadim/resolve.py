@@ -24,6 +24,14 @@ size 1 it holds exactly for paths (D = n - 1), which the edge count and
 degrees show, and at a larger size the eccentricity of vertex 1, at most D,
 settles it whenever it already meets the bound.
 
+The oracle is one search over the sizes below a bound, with no bound.  A
+caller that holds a resolving set of size s knows the dimension is at most s,
+so it can run the same search over the sizes below s only: the first
+resolving candidate it finds gives the dimension, and when it finds none the
+dimension is s.  The sweep does this with each class's closed-form basis, so
+a theta graph of dimension 2 needs no candidate test at all (size 1 holds
+only for paths).
+
 The metric dimension of every theta graph is 2 or 3, so the search is small
 there; on other graphs a size level k can test C(n, k) candidates.  The
 oracle bounds its own work: it refuses, with ``ValueError``, to start a
@@ -198,6 +206,19 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     of at most 24 vertices is searched in full, theta graphs to size 3 up to
     n = 141 and to size 2 up to n = 506, and paths to size 1 up to n = 8056.
     """
+    result = _search(g, g.n + 1)
+    if result is None:
+        raise AssertionError("unreachable: the full vertex set always resolves")
+    return result
+
+
+def _search(g: Graph, below: int) -> BasisResult | None:
+    """The oracle's search over the sizes below ``below``: the first
+    resolving candidate in its order, or None when no set of those sizes
+    resolves.  It skips, refuses and reads rows as
+    :func:`metric_dimension_oracle` describes, and neither tests nor budgets
+    a size of ``below`` or more.  With ``below = n + 1`` it is the oracle.
+    """
     n = g.n
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
@@ -207,6 +228,8 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     rows = None  # every vertex's row, once D is needed or a size has no witness
     classes = _twin_classes(g)
     first = max(1, sum(len(T) - 1 for T in classes))
+    if first >= below:
+        return None
     # The weights below take bits in the square of the class count C, so the
     # first level is checked before they are built.  It holds at least C of
     # the n >= 2C vertices and leaves out at least C, so it costs at least
@@ -224,7 +247,7 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     total = sum(weights)
     two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
     vertices = range(1, n + 1)
-    for k in range(first, n + 1):
+    for k in range(first, below):
         _check_level_cost(k, n)
         if k == 1:
             # D + 1 >= n holds only for a path: n - 1 edges, degrees <= 2.
@@ -252,4 +275,4 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
         # and handing each candidate its rows is faster than looking them up.
         if rows is None:
             rows = list(map(row_of, vertices))
-    raise AssertionError("unreachable: the full vertex set always resolves")
+    return None

@@ -6,12 +6,20 @@ minimality, and diffs every table-claimed distance vector against BFS.
 Discrepancies never abort a sweep; they become first-class report entries,
 since auditing the formulas is the point of the harness.
 
-A sweep runs the oracle once per isomorphism class.  A theta graph is fixed
-up to isomorphism by the multiset of its hub-to-hub path lengths, metric
-dimension is an isomorphism invariant, and a record keeps only the oracle's
-dimension, not its witness; so triples with the same sorted path lengths
-share one oracle dimension.  Every other check runs per triple, in the
-triple's own labelling.
+A sweep settles each isomorphism class's dimension once.  A theta graph is
+fixed up to isomorphism by the multiset of its hub-to-hub path lengths,
+metric dimension is an isomorphism invariant, and a record keeps only the
+oracle's dimension, not its witness; so triples with the same sorted path
+lengths share one oracle dimension.  It is settled on the first triple of
+the class, whose closed-form landmarks are checked by BFS first.  When they
+resolve, s of them bound the dimension by s, and the oracle's search runs
+over the sizes below s only: the size of the first resolving set it finds
+is the dimension, or s when it finds none.  A theta graph is never a path,
+so a class with a resolving basis of two tests no candidate.  When the
+landmarks do not resolve, the full oracle runs.  Either way the dimension is
+the oracle's exact one, so a basis larger than the dimension shows as a
+dimension mismatch and a basis that does not resolve as a basis failure.
+Every other check runs per triple, in the triple's own labelling.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
 from .closed_form import _closed_form
-from .resolve import _landmark_rows, _minimal, _resolves, metric_dimension_oracle
+from .resolve import _landmark_rows, _minimal, _resolves, _search
 from .theta import build_c, to_theta_lengths, validate_params
 
 SCHEMA = "thetadim-sweep/1"
@@ -61,9 +69,9 @@ class TableMismatch:
 class SweepRecord:
     """Outcome of all checks for one (p, q, r) triple.
 
-    ``elapsed`` is the wall time of the checks; in a sweep, a record whose
-    isomorphism class was already seen reuses the oracle's dimension, so its
-    time leaves out the oracle.
+    ``elapsed`` is the wall time of the checks.  It includes the search that
+    settles the dimension only for the first triple of an isomorphism class
+    in a sweep; a later triple of the class reuses that dimension.
     """
 
     p: int
@@ -123,7 +131,12 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def check_triple(p: int, q: int, r: int) -> SweepRecord:
-    """Run every closed-form-vs-oracle check for one triple."""
+    """Run every closed-form-vs-oracle check for one triple.
+
+    The oracle dimension is settled on every call, as a sweep settles it for
+    a class: by the oracle's search below the closed-form basis when that
+    basis resolves, by the full oracle when it does not.
+    """
     return _check(p, q, r, {})
 
 
@@ -133,16 +146,21 @@ def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> S
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r)
     g = build_c(p, q, r)
-    lengths = tuple(sorted(to_theta_lengths(p, q, r)))
-    oracle_dim = oracle_dims.get(lengths)
-    if oracle_dim is None:
-        oracle_dim = oracle_dims[lengths] = metric_dimension_oracle(g).dimension
     # The landmark rows, read once in coordinate order, settle resolution
-    # and minimality (neither depends on the order) and are the BFS ground
-    # truth of the table diff.
+    # and minimality (neither depends on the order), bound the dimension
+    # search and are the BFS ground truth of the table diff.
     rows = _landmark_rows(g, result.landmarks)
     basis_ok = _resolves(rows, g.n)
     basis_minimal = basis_ok and _minimal(rows, g.n)
+    lengths = tuple(sorted(to_theta_lengths(p, q, r)))
+    oracle_dim = oracle_dims.get(lengths)
+    if oracle_dim is None:
+        # A resolving basis of s landmarks bounds the dimension by s, so the
+        # oracle's search need only try the sizes below s; without one it
+        # searches every size.
+        below = len(rows) if basis_ok else g.n + 1
+        found = _search(g, below)
+        oracle_dim = oracle_dims[lengths] = below if found is None else found.dimension
 
     mismatches: list[TableMismatch] = []
     for v, (claimed, ground) in enumerate(zip(claims(), zip(*rows), strict=True), start=1):
@@ -171,8 +189,8 @@ def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> S
 def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order.
 
-    The oracle runs once per isomorphism class: triples with the same sorted
-    hub-to-hub path lengths share its dimension.
+    The oracle dimension is settled once per isomorphism class: triples
+    with the same sorted hub-to-hub path lengths share it.
     """
     oracle_dims: dict[tuple[int, ...], int] = {}
     return SweepReport(max_n=max_n, records=tuple(_check(p, q, r, oracle_dims) for p, q, r in valid_triples(max_n)))

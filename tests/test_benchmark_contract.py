@@ -11,11 +11,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-theta", "landmarks-general"])
-def test_benchmark_smoke_run_is_correct(workload):
+def smoke_run(workload, *options):
+    """The result line of a short smoke run of one benchmark workload."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.2", "--smoke"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0.2", *options,
+         "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    return result
+
+
+@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-theta", "landmarks-general"])
+def test_benchmark_smoke_run_is_correct(workload):
+    smoke_run(workload)
+
+
+def test_traced_sweep_smoke_run_reports_every_layer():
+    # The sweep settles most class dimensions without the public oracle, so
+    # its oracle spans may read 0; the traced path must still run, check its
+    # outputs and report each per-layer metric the benchmark declares.
+    result = smoke_run("sweep-n24", "--trace", "1")
+    declared = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(result["metrics"]) == sorted(declared)

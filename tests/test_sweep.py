@@ -1,6 +1,7 @@
 """Sweep harness: enumeration, determinism, reports, and self-consistency."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -76,9 +77,9 @@ def test_midrange_sweep_has_no_dimension_or_basis_failures():
 
 
 def test_oracle_dimension_is_one_per_isomorphism_class():
-    # The sweep runs the oracle once per class of sorted hub-to-hub path
-    # lengths; here it runs on every labelling, so a class whose labellings
-    # disagreed would show.
+    # The sweep settles the dimension once per class of sorted hub-to-hub
+    # path lengths; here the oracle runs on every labelling, so a class whose
+    # labellings disagreed would show.
     dims = defaultdict(set)
     by_params = {}
     for p, q, r in valid_triples(16):
@@ -92,30 +93,99 @@ def test_oracle_dimension_is_one_per_isomorphism_class():
 
 
 @pytest.fixture
-def oracle_calls(monkeypatch):
-    """The graph of every oracle call the sweep module makes, in order."""
+def dimension_searches(monkeypatch):
+    """The graph of every class-dimension search the sweep module runs, in
+    order: the oracle's search, bounded by a resolving basis or not."""
     graphs = []
-    oracle = sweep_module.metric_dimension_oracle
+    search = sweep_module._search
 
-    def counting(g):
+    def counting(g, below):
         graphs.append(g)
-        return oracle(g)
+        return search(g, below)
 
-    monkeypatch.setattr(sweep_module, "metric_dimension_oracle", counting)
+    monkeypatch.setattr(sweep_module, "_search", counting)
     return graphs
 
 
-def test_sweep_runs_the_oracle_once_per_isomorphism_class(oracle_calls):
+def test_sweep_runs_the_oracle_once_per_isomorphism_class(dimension_searches):
     report = sweep(12)
     assert len(report.records) == 255
-    assert len(oracle_calls) == 56
+    assert len(dimension_searches) == 56
 
 
-def test_check_triple_runs_the_oracle_on_every_call(oracle_calls):
+def test_check_triple_runs_the_oracle_on_every_call(dimension_searches):
     for _ in range(2):
         check_triple(0, 3, 1)
         check_triple(1, 2, 1)  # the same class as (0, 3, 1)
-    assert len(oracle_calls) == 4
+    assert len(dimension_searches) == 4
+
+
+def assert_dimensions_are_the_oracles(report):
+    """Assert that every record's dimension is the witness oracle's on its
+    class, run once per class; return the number of classes."""
+    by_class = {}
+    for rec in report.records:
+        lengths = tuple(sorted(to_theta_lengths(rec.p, rec.q, rec.r)))
+        if lengths not in by_class:
+            by_class[lengths] = metric_dimension_oracle(build_c(rec.p, rec.q, rec.r)).dimension
+        assert rec.oracle_dim == by_class[lengths], (rec.p, rec.q, rec.r)
+    return len(by_class)
+
+
+def test_sweep_dimensions_are_the_oracles_to_24():
+    assert assert_dimensions_are_the_oracles(sweep(24)) == 435
+
+
+def test_dimension_two_record_reads_only_its_landmark_and_vertex_1_rows(bfs_sources):
+    record = check_triple(2, 5, 3)
+    assert record.basis == (8, 10) and record.basis_ok
+    assert record.oracle_dim == 2
+    # The basis (8, 10) resolves, and only a path has dimension 1, so the
+    # search tests no candidate; it reads row 1 only to check that the graph
+    # is connected.
+    assert sorted(bfs_sources) == [1, 8, 10]
+
+
+def with_landmarks(monkeypatch, triple, landmarks):
+    """Make the sweep's closed form give ``landmarks`` for ``triple``; its
+    dimension is their count, and every other triple is left as it is."""
+    closed_form = sweep_module._closed_form
+
+    def patched(p, q, r):
+        result, claims = closed_form(p, q, r)
+        if (p, q, r) == triple:
+            result = dataclasses.replace(result, landmarks=landmarks)
+        return result, claims
+
+    monkeypatch.setattr(sweep_module, "_closed_form", patched)
+
+
+def test_a_basis_that_does_not_resolve_gets_the_full_oracle(monkeypatch):
+    # (3, 5, 5) has dimension 3 and is the first triple of its class, so the
+    # sweep's search for the class runs on it.  No pair resolves it; had the
+    # pair bounded the search, the class would get dimension 2.
+    assert metric_dimension_oracle(build_c(3, 5, 5)).dimension == 3
+    with_landmarks(monkeypatch, (3, 5, 5), (9, 10))
+    report = sweep(13)
+    record = next(rec for rec in report.records if (rec.p, rec.q, rec.r) == (3, 5, 5))
+    assert not record.basis_ok and not record.basis_minimal
+    assert (record.formula_dim, record.oracle_dim) == (2, 3)
+    assert check_triple(3, 5, 5) == record
+    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (1, 1)
+    assert assert_dimensions_are_the_oracles(report) > 1
+
+
+def test_a_resolving_basis_above_the_dimension_is_a_mismatch(monkeypatch):
+    # (2, 5, 3) has dimension 2 and is the first triple of its class; three
+    # landmarks that resolve it bound its search by 3, which finds size 2.
+    with_landmarks(monkeypatch, (2, 5, 3), (1, 8, 10))
+    report = sweep(10)
+    record = next(rec for rec in report.records if (rec.p, rec.q, rec.r) == (2, 5, 3))
+    assert record.basis_ok and not record.basis_minimal
+    assert (record.formula_dim, record.oracle_dim) == (3, 2)
+    assert check_triple(2, 5, 3) == record
+    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (1, 0)
+    assert assert_dimensions_are_the_oracles(report) > 1
 
 
 def indent2_json(report):
@@ -336,15 +406,17 @@ def test_report_bytes_are_pinned_to_32():
 
 @pytest.mark.slow
 def test_sweep_to_60_agrees_everywhere():
-    # the verified range of ROADMAP item 1; about 12 s, so marked slow
-    summary = sweep(60).summary
-    assert asdict(summary) == {
+    # the verified range of ROADMAP item 1, each class's dimension checked
+    # against the witness oracle; about 12 s, so marked slow
+    report = sweep(60)
+    assert asdict(report.summary) == {
         "records": 35815,
         "agreements": 35815,
         "dimension_mismatches": 0,
         "basis_failures": 0,
         "table_mismatch_entries": 58545,
     }
+    assert assert_dimensions_are_the_oracles(report) == 6396
 
 
 def test_unknown_format_rejected():
@@ -362,9 +434,10 @@ def test_check_triple_runs_one_bfs_per_vertex(bfs_sources):
     record = check_triple(3, 7, 3)
     assert record.oracle_dim == 3
     assert record.basis_ok and record.basis_minimal
-    # C_{3,7,3} has dimension 3, so the oracle tests every pair of vertices
-    # and reads every row; the basis, minimality and table checks reuse them
-    # instead of running BFS again.
+    # C_{3,7,3} has dimension 3, so the search below its three landmarks
+    # tests every pair of vertices and reads every row; the basis,
+    # minimality and table checks read their rows first, and the search
+    # reuses them instead of running BFS again.
     assert sorted(bfs_sources) == list(range(1, record.n + 1))
 
 
@@ -372,6 +445,6 @@ def test_early_witness_computes_only_the_rows_it_reads(bfs_sources):
     assert metric_dimension_oracle(build_c(4, 4, 4)).witness == (1, 4)
     bfs_sources.clear()
     record = check_triple(4, 4, 4)
-    # The oracle stops at the witness (1, 4) having read rows 1..4 only; the
-    # other checks reuse memoised rows, so no row is computed twice.
+    # The basis (1, 4) resolves, so the search below it tests no candidate:
+    # the record reads rows 1 and 4 only, and no row is computed twice.
     assert len(bfs_sources) == len(set(bfs_sources)) < record.n
