@@ -7,7 +7,6 @@ assigns landmark codes to named networks.
 """
 
 from .closed_form import (
-    CASE_TAGS,
     ClosedFormResult,
     TheoremCase,
     closed_form_basis,
@@ -65,7 +64,6 @@ from .theta import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CASE_TAGS",
     "UNREACHABLE",
     "BasisResult",
     "ClosedFormResult",

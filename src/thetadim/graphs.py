@@ -60,12 +60,6 @@ class Graph:
         """
         return _RowMemo(self.adjacency).__getitem__
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def is_connected(self) -> bool:
         return UNREACHABLE not in self.distance_row(1)
 

@@ -41,6 +41,12 @@ names the first faulty line and its fault.  The pattern and the tokenizer
 take their words from one rule, ``_WORD``, under which a line the pattern
 does not match is refused in linear time.
 
+The four spec rules (no duplicate node, no link to an undeclared node, no
+self-link, no repeated link) are stated once, in ``_Declared``.  The explain
+step, ``format_network`` and ``network_graph``'s fault path feed it
+declarations in order, so all three name the same first fault.  The accept
+step's set checks restate the rules in bulk, for well-formed texts only.
+
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
 through the exhaustive oracle — and gives every node its distance-vector
@@ -54,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Callable, Container
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, count, repeat
@@ -235,14 +241,43 @@ def _accept(text: str) -> NetworkSpec | None:
     return NetworkSpec(nodes=tuple(nodes), links=tuple(zip(a, b)))
 
 
+class _Declared:
+    """The spec rules: ``node`` and ``link`` take declarations in order and
+    raise ``ValueError`` naming a duplicate node, a link to an undeclared
+    node, a self-link, or a link repeated in either orientation.
+    ``_Declared(nodes, links)`` declares a whole spec."""
+
+    def __init__(self, nodes: Iterable[str] = (), links: Iterable[tuple[str, str]] = ()):
+        self.nodes: dict[str, None] = {}
+        # Each link by its endpoints in sorted order, so a reversed repeat is found.
+        self.links: dict[tuple[str, str], tuple[str, str]] = {}
+        for name in nodes:
+            self.node(name)
+        for a, b in links:
+            self.link(a, b)
+
+    def node(self, name: str) -> None:
+        if name in self.nodes:
+            raise ValueError(f"duplicate node {name!r}")
+        self.nodes[name] = None
+
+    def link(self, a: str, b: str) -> None:
+        for name in (a, b):
+            if name not in self.nodes:
+                raise ValueError(f"unknown node {name!r}")
+        if a == b:
+            raise ValueError(f"self-link at {a!r}")
+        key = (a, b) if a < b else (b, a)
+        if key in self.links:
+            raise ValueError(f"duplicate link {a!r} -- {b!r}")
+        self.links[key] = (a, b)
+
+
 def _explain(text: str) -> NetworkSpec:
     """The explain step: read the text line by line by the tokenizer and the
     directive rules, giving its spec or a ``NetworkParseError`` that names
     its first faulty line."""
-    nodes: list[str] = []
-    seen_nodes: set[str] = set()
-    links: list[tuple[str, str]] = []
-    seen_links: set[tuple[str, str]] = set()
+    declared = _Declared()
     split_line = _line_splitter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -255,30 +290,20 @@ def _explain(text: str) -> NetworkSpec:
         if directive == "node":
             if len(args) != 1:
                 raise NetworkParseError(lineno, "node takes exactly one name")
-            (name,) = args
-            if not name:
+            if not args[0]:
                 raise NetworkParseError(lineno, "empty node name")
-            if name in seen_nodes:
-                raise NetworkParseError(lineno, f"duplicate node {name!r}")
-            seen_nodes.add(name)
-            nodes.append(name)
+            declare = declared.node
         elif directive == "link":
             if len(args) != 2:
                 raise NetworkParseError(lineno, "link takes exactly two names")
-            a, b = args
-            for name in (a, b):
-                if name not in seen_nodes:
-                    raise NetworkParseError(lineno, f"unknown node {name!r}")
-            if a == b:
-                raise NetworkParseError(lineno, f"self-link at {a!r}")
-            key = (a, b) if a < b else (b, a)
-            if key in seen_links:
-                raise NetworkParseError(lineno, f"duplicate link {a!r} -- {b!r}")
-            seen_links.add(key)
-            links.append((a, b))
+            declare = declared.link
         else:
             raise NetworkParseError(lineno, f"unknown directive {directive!r}")
-    return NetworkSpec(nodes=tuple(nodes), links=tuple(links))
+        try:
+            declare(*args)
+        except ValueError as exc:
+            raise NetworkParseError(lineno, str(exc)) from exc
+    return NetworkSpec(nodes=tuple(declared.nodes), links=tuple(declared.links.values()))
 
 
 def format_network(spec: NetworkSpec) -> str:
@@ -290,14 +315,13 @@ def format_network(spec: NetworkSpec) -> str:
     line break), a duplicate node, a link to an undeclared node, a self-link,
     or a duplicate link in either orientation.
     """
-    declared: set[str] = set()
+    declared = _Declared()
     for name in spec.nodes:
         if name.splitlines() != [name]:
             raise ValueError(f"node name {name!r} is empty or holds a line break")
-        if name in declared:
-            raise ValueError(f"duplicate node {name!r}")
-        declared.add(name)
-    _check_links(spec.links, declared)
+        declared.node(name)
+    for a, b in spec.links:
+        declared.link(a, b)
     import shlex  # only writing network text quotes names; parsing never needs shlex
 
     lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
@@ -305,41 +329,23 @@ def format_network(spec: NetworkSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_links(links: tuple[tuple[str, str], ...], declared: Container[str]) -> None:
-    """Raise ``ValueError`` naming the first link to an undeclared node,
-    self-link, or link repeated in either orientation."""
-    linked: set[tuple[str, str]] = set()
-    for a, b in links:
-        for name in (a, b):
-            if name not in declared:
-                raise ValueError(f"unknown node {name!r}")
-        if a == b:
-            raise ValueError(f"self-link at {a!r}")
-        key = (min(a, b), max(a, b))
-        if key in linked:
-            raise ValueError(f"duplicate link {a!r} -- {b!r}")
-        linked.add(key)
-
-
 def network_graph(spec: NetworkSpec) -> Graph:
     """Labelled graph of the network (node i of the declaration order is
     vertex i).  Raises ``ValueError`` when the network declares no node or
     a node twice, links an undeclared node or a node to itself, repeats a
-    link in either orientation, or is disconnected; a bad link gets the
-    message ``format_network`` gives it."""
+    link in either orientation, or is disconnected; a bad node or link gets
+    the message ``format_network`` gives it."""
     if not spec.nodes:
         raise ValueError("network declares no nodes")
     index = {name: i for i, name in enumerate(spec.nodes, start=1)}
-    if len(index) != len(spec.nodes):
-        twice = next(name for i, name in enumerate(spec.nodes, start=1) if index[name] != i)
-        raise ValueError(f"duplicate node {twice!r}")
     try:
         g = new_graph(len(spec.nodes), [(index[a], index[b]) for a, b in spec.links])
     except (KeyError, ValueError):  # a link to an undeclared node, or a self-link
-        _check_links(spec.links, index)
+        _Declared(spec.nodes, spec.links)
         raise
-    if len(g.edges) != len(spec.links):  # a link repeated in either orientation
-        _check_links(spec.links, index)
+    # a node declared twice, or a link repeated in either orientation
+    if len(index) != len(spec.nodes) or len(g.edges) != len(spec.links):
+        _Declared(spec.nodes, spec.links)
     if not g.is_connected():
         raise ValueError("network graph is disconnected")
     return g

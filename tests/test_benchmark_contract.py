@@ -24,7 +24,7 @@ def smoke_run(workload, *options):
     return result
 
 
-@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-theta", "landmarks-general"])
+@pytest.mark.parametrize("workload", ["sweep-n24", "landmarks-theta", "landmarks-general", "cli"])
 def test_benchmark_smoke_run_is_correct(workload):
     smoke_run(workload)
 

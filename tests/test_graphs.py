@@ -125,7 +125,7 @@ def test_distance_matrix_axioms(g):
     # d[u][v] == 1 exactly on edges
     for u in range(1, g.n + 1):
         for v in range(u + 1, g.n + 1):
-            assert (D.dist(u, v) == 1) == g.has_edge(u, v)
+            assert (D.dist(u, v) == 1) == ((u, v) in g.edges)
     # triangle inequality on finite entries
     for u in range(g.n):
         for v in range(g.n):
@@ -170,7 +170,7 @@ def test_adding_edge_never_increases_finite_distances(g):
         (u, v)
         for u in range(1, g.n + 1)
         for v in range(u + 1, g.n + 1)
-        if not g.has_edge(u, v)
+        if (u, v) not in g.edges
     ]
     if not non_edges:
         return

@@ -466,13 +466,42 @@ def test_graph_build_reports_disconnection():
         (NetworkSpec(nodes=("a", "b"), links=(("a", "b"), ("b", "a"))), "duplicate link 'b' -- 'a'"),
         # the first faulty link is named, as format_network names it
         (NetworkSpec(nodes=("a", "b"), links=(("a", "a"), ("a", "c"))), "self-link at 'a'"),
+        # the first node declared twice, in declaration order
+        (NetworkSpec(nodes=("a", "b", "b", "a"), links=(("a", "b"),)), "duplicate node 'b'"),
     ],
     ids=["duplicate-node", "undeclared-node", "self-link", "duplicate-link", "reversed-duplicate-link",
-         "first-fault"],
+         "first-fault", "first-duplicate-node"],
 )
 def test_graph_build_names_a_bad_spec(spec, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         network_graph(spec)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.one_of(valid_network_specs(), any_network_specs()))
+@example(NetworkSpec(nodes=("1", "0", "0", "1"), links=()))
+def test_graph_build_format_and_parse_name_the_same_fault(spec):
+    """network_graph, format_network and parse_network name the same
+    fault of a spec, and network_graph refuses a spec format_network
+    accepts only when the network is disconnected."""
+    names = {*spec.nodes, *(name for link in spec.links for name in link)}
+    if not spec.nodes or any(name.splitlines() != [name] for name in names):
+        return  # no graph to build, or a name that text cannot carry
+    try:
+        format_network(spec)
+    except ValueError as exc:
+        message = str(exc)
+        with pytest.raises(ValueError) as graph_exc:
+            network_graph(spec)
+        assert str(graph_exc.value) == message
+        with pytest.raises(NetworkParseError) as parse_exc:
+            parse_network(naive_network_text(spec))
+        assert str(parse_exc.value).endswith(": " + message)
+        return
+    try:
+        network_graph(spec)
+    except ValueError as exc:
+        assert str(exc) == "network graph is disconnected"
 
 
 def test_graph_build_rejects_empty():
