@@ -32,12 +32,12 @@ from .theta import build_c
 #: prints all n + 1 edges and ``check`` runs one BFS per landmark, O(n·k).
 MAX_ORDER = 2000
 
-#: Largest ``sweep --max-n``.  The sweep settles each isomorphism class's
-#: dimension once (1,942 classes for the 10,545 triples with n <= 40), by the
-#: oracle's search below the class's resolving closed-form basis, so a class
-#: of dimension 2 tests no candidate.  Its cost grows as about n^4: ``sweep
-#: --max-n 40`` with the JSON report takes 1.8-2.2 s at a 40 MB peak RSS
-#: (2-CPU x86-64 host, CPython 3.11).
+#: Largest ``sweep --max-n``.  The sweep builds one graph per isomorphism
+#: class (1,942 classes for the 10,545 triples with n <= 40) and settles its
+#: dimension once, by the oracle's search below the class's resolving
+#: closed-form basis, so a class of dimension 2 tests no candidate.  Its cost
+#: grows as about n^4: ``sweep --max-n 40`` with the JSON report takes
+#: 1.36-1.42 s at a 42 MB peak RSS (2-CPU x86-64 host, CPython 3.11).
 MAX_SWEEP_N = 40
 
 

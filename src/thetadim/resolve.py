@@ -21,7 +21,8 @@ The oracle reads distance rows on demand from the graph's memo, so a search
 that finds its witness early computes only the rows it tested.  The
 diameter bound needs every row only when nothing cheaper settles it: at
 size 1 it holds exactly for paths (D = n - 1), which the edge count and
-degrees show, and at a larger size the eccentricity of vertex 1, at most D,
+degrees show, so the search starts at size 1 on a path and at size 2 on any
+other graph; at a larger size the eccentricity of vertex 1, at most D,
 settles it whenever it already meets the bound.
 
 The oracle is one search over the sizes below a bound, with no bound.  A
@@ -29,8 +30,9 @@ caller that holds a resolving set of size s knows the dimension is at most s,
 so it can run the same search over the sizes below s only: the first
 resolving candidate it finds gives the dimension, and when it finds none the
 dimension is s.  The sweep does this with each class's closed-form basis, so
-a theta graph of dimension 2 needs no candidate test at all (size 1 holds
-only for paths).
+a theta graph of dimension 2 needs no candidate test at all: a search below
+size 2 of a graph that is not a path returns at once, before it groups the
+twins.
 
 The metric dimension of every theta graph is 2 or 3, so the search is small
 there; on other graphs a size level k can test C(n, k) candidates.  The
@@ -192,10 +194,11 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     - sizes k with D^k + k < n, since a graph of diameter D with a resolving
       set of size k has at most D^k + k vertices (Khuller, Raghavachari &
       Rosenfeld 1996).  At size 1 this says that only a path (D = n - 1)
-      has dimension 1, which the edge count and degrees show without D.  A
-      larger size is tested when the eccentricity of vertex 1, at most D,
-      already gives ecc(1)^k + k >= n; only otherwise is D computed, from
-      every row.
+      has dimension 1, which the edge count and degrees show without D, so
+      the search starts at size 1 on a path and at size 2 on any other
+      graph.  A larger size is tested when the eccentricity of vertex 1, at
+      most D, already gives ecc(1)^k + k >= n; only otherwise is D computed,
+      from every row.
 
     Distance rows are read on demand from the graph's memo, so a search
     that ends early computes only the rows of the candidates it tested.
@@ -204,7 +207,8 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     diameter step included, the oracle raises ``ValueError`` when the level
     costs more than ``ORACLE_LEVEL_BUDGET``, at C(n, k) * n.  So every graph
     of at most 24 vertices is searched in full, theta graphs to size 3 up to
-    n = 141 and to size 2 up to n = 506, and paths to size 1 up to n = 8056.
+    n = 141, any graph that is not a path to size 2 up to n = 506, and paths
+    to size 1 up to n = 8056.
     """
     result = _search(g, g.n + 1)
     if result is None:
@@ -217,17 +221,26 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     resolving candidate in its order, or None when no set of those sizes
     resolves.  It skips, refuses and reads rows as
     :func:`metric_dimension_oracle` describes, and neither tests nor budgets
-    a size of ``below`` or more.  With ``below = n + 1`` it is the oracle.
+    a size of ``below`` or more.  It starts at size 1 on a path and at size
+    2 on any other graph; when ``below`` is at most that start, it returns
+    None having read only row 1, to check that the graph is connected, and
+    before it groups the twins.  With ``below = n + 1`` it is the oracle.
     """
     n = g.n
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
+    # D + 1 >= n, the diameter bound at size 1, holds only for a path, whose
+    # diameter is n - 1: a connected graph of n - 1 edges and degrees <= 2.
+    path = len(g.edges) == n - 1 and max(map(len, g.adjacency)) <= 2
+    start = 1 if path else 2
+    if start >= below:
+        return None
     row_of = g.distance_row  # the memo's own lookup, so map() reads rows in C
     ecc_1 = max(row_of(1))
-    diameter = None
+    diameter = n - 1 if path else None
     rows = None  # every vertex's row, once D is needed or a size has no witness
     classes = _twin_classes(g)
-    first = max(1, sum(len(T) - 1 for T in classes))
+    first = max(start, sum(len(T) - 1 for T in classes))
     if first >= below:
         return None
     # The weights below take bits in the square of the class count C, so the
@@ -249,11 +262,7 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     vertices = range(1, n + 1)
     for k in range(first, below):
         _check_level_cost(k, n)
-        if k == 1:
-            # D + 1 >= n holds only for a path: n - 1 edges, degrees <= 2.
-            if len(g.edges) != n - 1 or max(map(len, g.adjacency)) > 2:
-                continue
-        elif ecc_1**k + k < n:
+        if ecc_1**k + k < n:
             if diameter is None:
                 rows = list(map(row_of, vertices))
                 diameter = max(map(max, rows))

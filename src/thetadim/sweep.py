@@ -6,20 +6,29 @@ minimality, and diffs every table-claimed distance vector against BFS.
 Discrepancies never abort a sweep; they become first-class report entries,
 since auditing the formulas is the point of the harness.
 
-A sweep settles each isomorphism class's dimension once.  A theta graph is
-fixed up to isomorphism by the multiset of its hub-to-hub path lengths,
-metric dimension is an isomorphism invariant, and a record keeps only the
-oracle's dimension, not its witness; so triples with the same sorted path
-lengths share one oracle dimension.  It is settled on the first triple of
-the class, whose closed-form landmarks are checked by BFS first.  When they
-resolve, s of them bound the dimension by s, and the oracle's search runs
-over the sizes below s only: the size of the first resolving set it finds
-is the dimension, or s when it finds none.  A theta graph is never a path,
-so a class with a resolving basis of two tests no candidate.  When the
-landmarks do not resolve, the full oracle runs.  Either way the dimension is
-the oracle's exact one, so a basis larger than the dimension shows as a
-dimension mismatch and a basis that does not resolve as a basis failure.
-Every other check runs per triple, in the triple's own labelling.
+A sweep builds one graph per isomorphism class and settles each class's
+dimension once.  A theta graph is fixed up to isomorphism by the multiset of
+its hub-to-hub path lengths, so the triples with the same sorted path
+lengths are one graph under different labels.  The class graph is
+``build_c(x, y + 2, z)`` for the chains' internal counts sorted into
+x >= y >= z, and ``theta._class_labels`` renames each vertex of a triple to
+its vertex there, chain onto chain in order from hub a and hub onto hub.  A
+triple's landmark rows are BFS rows of the class graph, read back in the
+triple's own labels through that renaming; they are exactly the BFS rows of
+the triple's own graph.  Metric dimension is an isomorphism invariant, and
+a record keeps only the oracle's dimension, not its witness, so the
+oracle's search runs on the class graph, once, for the first triple of the
+class, whose closed-form landmarks are checked first.  When they resolve, s
+of them bound the dimension by s, and the search runs over the sizes below
+s only: the size of the first resolving set it finds is the dimension, or s
+when it finds none.  A theta graph is never a path, so a class with a
+resolving basis of two tests no candidate.  When the landmarks do not
+resolve, the full oracle runs.  Either way the dimension is the oracle's
+exact one, so a basis larger than the dimension shows as a dimension
+mismatch and a basis that does not resolve as a basis failure.  Every other
+check runs per triple, in the triple's own labelling: resolution,
+minimality and the table diff read each triple's own landmark rows, and no
+record is derived from another's.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
@@ -35,6 +44,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import operator
 import time
@@ -45,8 +55,9 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
 from .closed_form import _closed_form
-from .resolve import _landmark_rows, _minimal, _resolves, _search
-from .theta import build_c, to_theta_lengths, validate_params
+from .graphs import Graph
+from .resolve import _minimal, _resolves, _search, _valid_landmarks
+from .theta import _class_labels, build_c, validate_params
 
 SCHEMA = "thetadim-sweep/1"
 
@@ -69,9 +80,10 @@ class TableMismatch:
 class SweepRecord:
     """Outcome of all checks for one (p, q, r) triple.
 
-    ``elapsed`` is the wall time of the checks.  It includes the search that
-    settles the dimension only for the first triple of an isomorphism class
-    in a sweep; a later triple of the class reuses that dimension.
+    ``elapsed`` is the wall time of the checks.  The first triple of an
+    isomorphism class in a sweep also pays for the class graph, for the
+    search that settles the dimension, and for the BFS rows it reads, which
+    later triples of the class reuse along with the dimension.
     """
 
     p: int
@@ -140,27 +152,30 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
     return _check(p, q, r, {})
 
 
-def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> SweepRecord:
-    """``check_triple``, reading the oracle dimension from ``oracle_dims``,
-    keyed by sorted hub-to-hub path lengths, and storing it there on a miss."""
+def _check(p: int, q: int, r: int, classes: dict[tuple[int, int, int], tuple[Graph, int]]) -> SweepRecord:
+    """``check_triple``, reading the class graph and the class dimension
+    from ``classes``, keyed by class triple, and storing them there on a miss."""
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r)
-    g = build_c(p, q, r)
-    # The landmark rows, read once in coordinate order, settle resolution
-    # and minimality (neither depends on the order), bound the dimension
-    # search and are the BFS ground truth of the table diff.
-    rows = _landmark_rows(g, result.landmarks)
-    basis_ok = _resolves(rows, g.n)
-    basis_minimal = basis_ok and _minimal(rows, g.n)
-    lengths = tuple(sorted(to_theta_lengths(p, q, r)))
-    oracle_dim = oracle_dims.get(lengths)
+    key, labels = _class_labels(p, q, r)
+    n = len(labels)
+    g, oracle_dim = classes.get(key) or (build_c(*key), None)
+    row_of = g.distance_row
+    # The landmark rows, read once in coordinate order from the class graph
+    # and back in the triple's own labels, settle resolution and minimality
+    # (neither depends on the order), bound the dimension search and are the
+    # BFS ground truth of the table diff.
+    rows = [tuple(map(row_of(labels[w - 1] + 1).__getitem__, labels)) for w in _valid_landmarks(result.landmarks, n)]
+    basis_ok = _resolves(rows, n)
+    basis_minimal = basis_ok and _minimal(rows, n)
     if oracle_dim is None:
         # A resolving basis of s landmarks bounds the dimension by s, so the
         # oracle's search need only try the sizes below s; without one it
         # searches every size.
-        below = len(rows) if basis_ok else g.n + 1
+        below = len(rows) if basis_ok else n + 1
         found = _search(g, below)
-        oracle_dim = oracle_dims[lengths] = below if found is None else found.dimension
+        oracle_dim = below if found is None else found.dimension
+        classes[key] = g, oracle_dim
 
     mismatches: list[TableMismatch] = []
     for v, (claimed, ground) in enumerate(zip(claims(), zip(*rows), strict=True), start=1):
@@ -173,7 +188,7 @@ def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> S
         p=p,
         q=q,
         r=r,
-        n=g.n,
+        n=n,
         case=result.case.tag,
         swapped=result.case.swapped,
         formula_dim=result.dimension,
@@ -189,11 +204,16 @@ def _check(p: int, q: int, r: int, oracle_dims: dict[tuple[int, ...], int]) -> S
 def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order.
 
-    The oracle dimension is settled once per isomorphism class: triples
-    with the same sorted hub-to-hub path lengths share it.
+    Each isomorphism class has one graph, built on its first triple, and one
+    dimension, settled there; every triple reads its rows from that graph.
+    A class's triples share n and come in order of n, so the sweep drops the
+    class graphs of one n once it has passed that n.
     """
-    oracle_dims: dict[tuple[int, ...], int] = {}
-    return SweepReport(max_n=max_n, records=tuple(_check(p, q, r, oracle_dims) for p, q, r in valid_triples(max_n)))
+    records: list[SweepRecord] = []
+    for _, triples in itertools.groupby(valid_triples(max_n), key=sum):
+        classes: dict[tuple[int, int, int], tuple[Graph, int]] = {}
+        records.extend(_check(p, q, r, classes) for p, q, r in triples)
+    return SweepReport(max_n=max_n, records=tuple(records))
 
 
 def _report_fields(cls) -> tuple[str, ...]:

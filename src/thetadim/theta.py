@@ -124,6 +124,26 @@ def _swap(p: int, q: int, r: int, v: int) -> int:
     return v - p - q
 
 
+def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+    """The class triple of ``C_{p,q,r}`` and the 0-based label in its graph
+    of each vertex 1..n of ``C_{p,q,r}``.
+
+    The chains' internal counts p, q - 2 and r, sorted into x >= y >= z (ties
+    kept in chain order), give the class graph ``build_c(x, y + 2, z)``, the
+    same for every triple of the isomorphism class.  Each chain maps onto the
+    class chain of its count, in order from hub a, and hubs map onto hubs, so
+    the map is adjacency-preserving.
+    """
+    counts = (p, q - 2, r)
+    order = sorted(range(3), key=counts.__getitem__, reverse=True)
+    x, y, z = map(counts.__getitem__, order)
+    starts = [0, 0, 0]
+    for chain, start in zip(order, (0, x + 1, x + y + 2)):
+        starts[chain] = start
+    ranges = [range(start, start + count) for start, count in zip(starts, counts)]
+    return (x, y + 2, z), (*ranges[0], x, *ranges[1], x + y + 1, *ranges[2])
+
+
 def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     """Locate the two hubs and the three hub-to-hub chains, or None.
 

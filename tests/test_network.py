@@ -554,9 +554,9 @@ def test_closed_form_and_oracle_agree_on_theta_networks():
 
 
 def test_oversized_non_theta_network_rejected(bfs_sources):
-    # Size 1 of a 3000-cycle costs 3000^2 units and is skipped, since only a
-    # path has dimension 1; size 2 costs C(3000, 2) * 3000 and is refused
-    # after vertex 1's row, the only one read.
+    # Only a path has dimension 1, so the search of a 3000-cycle starts at
+    # size 2, which costs C(3000, 2) * 3000 and is refused after vertex 1's
+    # row, the only one read.
     names = tuple(f"n{i}" for i in range(3000))
     spec = NetworkSpec(nodes=names, links=tuple(zip(names, names[1:] + names[:1])))
     with pytest.raises(ValueError, match="oracle size 2 on 3000 vertices"):

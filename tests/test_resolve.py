@@ -167,6 +167,18 @@ def test_oracle_rejects_oversized(bfs_sources):
     )
 
 
+def test_oracle_starts_any_graph_that_is_not_a_path_at_size_2(bfs_sources):
+    # Size 1 of an 8057-cycle is over the budget, but only a path has
+    # dimension 1, so the search starts at size 2 and refuses that level.
+    with pytest.raises(ValueError) as info:
+        metric_dimension_oracle(cycle(8057))
+    assert str(info.value) == (
+        "oracle size 2 on 8057 vertices costs at least 64,915,249 candidate-vertex units, "
+        "over the budget of 64,899,744"
+    )
+    assert bfs_sources == [1]
+
+
 def test_oracle_refuses_many_twin_classes_before_building_their_weights():
     # A path of m spine vertices, each with two pendant leaves: the m leaf
     # pairs are twin classes, so the first level searched is size m of 3m,

@@ -18,12 +18,14 @@ from thetadim import (
     SweepRecord,
     SweepReport,
     TableMismatch,
+    bfs_distances,
     build_c,
     check_triple,
     emit_report,
     metric_dimension_oracle,
     parse_report,
     sweep,
+    theta,
     to_theta_lengths,
     valid_triples,
 )
@@ -140,10 +142,52 @@ def test_dimension_two_record_reads_only_its_landmark_and_vertex_1_rows(bfs_sour
     record = check_triple(2, 5, 3)
     assert record.basis == (8, 10) and record.basis_ok
     assert record.oracle_dim == 2
-    # The basis (8, 10) resolves, and only a path has dimension 1, so the
-    # search tests no candidate; it reads row 1 only to check that the graph
-    # is connected.
-    assert sorted(bfs_sources) == [1, 8, 10]
+    # The rows come from the class graph C_{3,5,2}, where landmarks 8 and 10
+    # are vertices 5 and 7.  The basis resolves, and only a path has
+    # dimension 1, so the search tests no candidate; it reads row 1 only to
+    # check that the graph is connected.
+    assert theta._class_labels(2, 5, 3)[0] == (3, 5, 2)
+    assert sorted(bfs_sources) == [1, 5, 7]
+
+
+def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
+    # The landmark rows each record is checked on, read from its class graph
+    # and renamed, are the BFS rows of the triple's own graph.
+    landmarks = {}
+    closed_form = sweep_module._closed_form
+
+    def keeping_landmarks(p, q, r):
+        result, claims = closed_form(p, q, r)
+        landmarks[p, q, r] = result.landmarks
+        return result, claims
+
+    rows_read = {}
+    resolves = sweep_module._resolves
+
+    def keeping_rows(rows, n):
+        rows_read.setdefault(next(reversed(landmarks)), rows)
+        return resolves(rows, n)
+
+    monkeypatch.setattr(sweep_module, "_closed_form", keeping_landmarks)
+    monkeypatch.setattr(sweep_module, "_resolves", keeping_rows)
+    assert len(sweep(24).records) == len(rows_read) == 2233
+    for (p, q, r), rows in rows_read.items():
+        g = build_c(p, q, r)
+        assert rows == [tuple(bfs_distances(g, w)) for w in landmarks[p, q, r]], (p, q, r)
+
+
+def test_sweep_builds_one_graph_per_isomorphism_class(monkeypatch):
+    built = []
+    build = sweep_module.build_c
+
+    def counting(p, q, r):
+        built.append((p, q, r))
+        return build(p, q, r)
+
+    monkeypatch.setattr(sweep_module, "build_c", counting)
+    report = sweep(12)
+    assert len(report.records) == 255
+    assert len(built) == len(set(built)) == 56
 
 
 def with_landmarks(monkeypatch, triple, landmarks):
@@ -396,12 +440,35 @@ REPORT_SHA256_N32 = {
 }
 
 
+#: The same for n <= 40, the CLI's largest sweep.
+SUMMARY_N40 = {
+    "records": 10545,
+    "agreements": 10545,
+    "dimension_mismatches": 0,
+    "basis_failures": 0,
+    "table_mismatch_entries": 11521,
+}
+REPORT_SHA256_N40 = {
+    "json": "2236bc9adc77fa8e24e08754e5527208f5e298d9c0d011a89fc91bbb9c270bfe",
+    "csv": "a48ca116a3cd397113a16c386c49a31308e57886a0059d0c418850a82c470f3a",
+}
+
+
+def assert_report_is_pinned(report, summary, digests):
+    assert asdict(report.summary) == summary
+    for fmt, digest in digests.items():
+        assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
+
+
 def test_report_bytes_are_pinned_to_32():
     report = sweep(32)
-    assert asdict(report.summary) == SUMMARY_N32
-    for fmt, digest in REPORT_SHA256_N32.items():
-        assert hashlib.sha256(emit_report(report, fmt).encode()).hexdigest() == digest, fmt
+    assert_report_is_pinned(report, SUMMARY_N32, REPORT_SHA256_N32)
     assert parse_report(emit_report(report)) == report
+
+
+def test_report_bytes_are_pinned_to_40():
+    # about 1.5 s with its reports
+    assert_report_is_pinned(sweep(40), SUMMARY_N40, REPORT_SHA256_N40)
 
 
 @pytest.mark.slow

@@ -107,6 +107,19 @@ def test_swap_preserves_adjacency_exhaustively():
         assert mapped == dst.edges
 
 
+def test_class_labels_map_each_triple_onto_its_class_graph():
+    # The class graph is build_c(x, y + 2, z) for the internal counts sorted
+    # into x >= y >= z; the labels rename the triple's graph onto it.
+    for p, q, r in valid_triples(30):
+        key, labels = theta._class_labels(p, q, r)
+        x, y, z = sorted((p, q - 2, r), reverse=True)
+        assert key == (x, y + 2, z)
+        src = build_c(p, q, r)
+        assert sorted(labels) == list(range(src.n)), (p, q, r)
+        mapped = {(min(labels[u - 1], labels[v - 1]) + 1, max(labels[u - 1], labels[v - 1]) + 1) for u, v in src.edges}
+        assert mapped == build_c(*key).edges, (p, q, r)
+
+
 def test_swapped_builds_share_degree_and_distance_profiles():
     from thetadim import all_pairs
 
