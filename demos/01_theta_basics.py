@@ -9,13 +9,11 @@ with identical distance codes, but three landmarks suffice.
 import itertools
 
 from thetadim import (
-    all_pairs,
     bfs_distances,
     build_c,
     is_minimal_resolving,
     is_resolving,
     metric_dimension_oracle,
-    representation,
     to_theta_lengths,
     unresolved_pair,
 )
@@ -27,8 +25,7 @@ print("edges:", sorted(g.edges))
 
 print("\nBFS distances from v1:", bfs_distances(g, 1))
 
-D = all_pairs(g)
-print("graph diameter:", max(map(max, D.d)))
+print("graph diameter:", max(max(g.distance_row(v)) for v in range(1, g.n + 1)))
 
 # No pair of landmarks can tell all 13 vertices apart.
 failures = sum(1 for W in itertools.combinations(range(1, 14), 2) if not is_resolving(g, W))
@@ -40,7 +37,7 @@ print(f"\nW = {W} resolves the graph:", is_resolving(g, W))
 print("and is minimal:", is_minimal_resolving(g, W))
 print("codes with respect to W:")
 for v in range(1, g.n + 1):
-    print(f"  v{v:<3} {representation(D, v, W)}")
+    print(f"  v{v:<3} {tuple(g.distance_row(w)[v - 1] for w in W)}")
 
 result = metric_dimension_oracle(g)
 print(f"\noracle: dimension {result.dimension}, witness {result.witness}, "

@@ -290,10 +290,7 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
             (p + q + 1, p + q + r, lambda A: (A + 1 - (p + q), A + 1 - (p + q))),
         ]
     if tag == "T4-P3a":
-        # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
-        # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
-        # there, while the cells keep the generic landmark and so diverge.
-        return (1, _fl(p + q) if p > 1 else p + 1), [
+        return (1, _fl(p + q)), [
             (1, p, lambda A: (A - 1, p - A)),
             (p + 1, p + 1, lambda A: (A - p, p)),
             (p + 2, p + q - 1, lambda A: (A - p, p + q + 1 - A)),
@@ -329,6 +326,11 @@ def _closed_form(p: int, q: int, r: int) -> tuple[ClosedFormResult, Callable[[],
     """
     tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
     landmarks, cells = _case(tag, pp, qq, rr)
+    if tag == "T4-P3a" and pp == 1:
+        # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
+        # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
+        # there, while the cells keep the generic landmark and so diverge.
+        landmarks = (1, pp + 1)
     if swapped:
         # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
         landmarks = tuple(_swap(r, q, p, w) for w in landmarks)

@@ -179,18 +179,6 @@ def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     return hub_a, hub_b, chains
 
 
-def _shape(hub_a: int, hub_b: int, chains: list[tuple[int, ...]], mi: int) -> ThetaShape:
-    """The parameterization with chain ``mi`` as the middle path; the longer
-    outer path becomes outer-one."""
-    middle = chains[mi]
-    outer_one, outer_two = sorted(
-        (chains[j] for j in range(3) if j != mi),
-        key=lambda c: (-len(c), c),
-    )
-    p, q, r = len(outer_one), len(middle) + 2, len(outer_two)
-    return ThetaShape(ThetaParams(p, q, r), (*outer_one, hub_a, *middle, hub_b, *outer_two))
-
-
 def detect_theta(g: Graph) -> ThetaShape | None:
     """Recognize a theta graph and return its preferred parameterization.
 
@@ -205,5 +193,9 @@ def detect_theta(g: Graph) -> ThetaShape | None:
     if probe is None:
         return None
     hub_a, hub_b, chains = probe
-    middle = min(range(3), key=lambda i: (len(chains[i]), chains[i]))
-    return _shape(hub_a, hub_b, chains, middle)
+    middle = chains.pop(min(range(3), key=lambda i: (len(chains[i]), chains[i])))
+    # the longer outer path becomes outer-one; of two equal ones, the one
+    # whose internal labels sort first
+    outer_one, outer_two = sorted(chains, key=lambda c: (-len(c), c))
+    p, q, r = len(outer_one), len(middle) + 2, len(outer_two)
+    return ThetaShape(ThetaParams(p, q, r), (*outer_one, hub_a, *middle, hub_b, *outer_two))

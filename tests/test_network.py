@@ -28,7 +28,7 @@ from thetadim import (
 from thetadim import network
 
 def _split_line(line):
-    return network._line_splitter()(line)
+    return network._line_tokens(line, network._line_matcher(), network._word_decoder())
 
 
 TWO_NODES = """
@@ -129,8 +129,17 @@ def _split_outcome(split, line):
         return f"ValueError: {exc}"
 
 
+_LINE_ALPHABET = list("'\"\\# \t\x0bab\r\n")
+_LINE_WORD = st.text(alphabet=_LINE_ALPHABET, max_size=6)
+
+
 @settings(deadline=None, max_examples=1000)
-@given(st.text(alphabet=list("'\"\\# \t\x0bab\r\n"), max_size=24))
+@given(st.one_of(
+    st.text(alphabet=_LINE_ALPHABET, max_size=24),
+    # lines shaped like directives, so that many reach the pattern's path
+    st.builds("node {}".format, _LINE_WORD),
+    st.builds("link {} {}".format, _LINE_WORD, _LINE_WORD),
+))
 @example("a\\")
 @example('"a\\')
 @example('"a\\"')
@@ -155,7 +164,7 @@ def _refuse(*args, **kwargs):
 
 def test_well_formed_lines_never_reach_shlex(monkeypatch):
     monkeypatch.setattr(shlex, "split", _refuse)
-    monkeypatch.setattr(network, "_line_splitter", _refuse)
+    monkeypatch.setattr(network, "_explain", _refuse)
     assert parse_network(field_network_text()).nodes[0] == "Field 1"
     g = build_c(600, 400, 500)
     labels = list(range(1, g.n + 1))
@@ -169,21 +178,23 @@ def test_well_formed_lines_never_reach_shlex(monkeypatch):
 
 
 def test_first_line_splits_are_thread_safe():
-    # The tokenizer compiles on the first split; threads that split their
-    # first lines together must each get all of it, quote handling included.
-    line = r"""node "a \"b\"" 'c d' e\ f  # note"""
-    expected = ["node", 'a "b"', "c d", "e f"]
+    # The pattern and the word decoder compile on the first split; threads
+    # that split their first lines together must each get all of them, quote
+    # handling included, on a line the pattern takes and on one it refuses.
+    lines = [r"""link "a \"b\"" 'c d'e\ f  # note""", r"""node "a \"b\"" 'c d' e\ f  # note"""]
+    expected = [["link", 'a "b"', "c de f"], ["node", 'a "b"', "c d", "e f"]]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(50):
-            network._line_splitter.cache_clear()
+            network._line_matcher.cache_clear()
+            network._word_decoder.cache_clear()
             start = threading.Barrier(8)
             results = []
 
             def split():
                 start.wait()
-                results.append(_split_line(line))
+                results.append([_split_line(line) for line in lines])
 
             threads = [threading.Thread(target=split) for _ in range(8)]
             for t in threads:
@@ -198,7 +209,7 @@ def test_first_line_splits_are_thread_safe():
 def reference_parse(text):
     """parse_network's directive rules over ``str.splitlines`` and
     ``shlex.split(line, comments=True)``."""
-    nodes, links, linked = [], [], []
+    nodes, links, linked = {}, [], set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             tokens = shlex.split(line, comments=True)
@@ -214,7 +225,7 @@ def reference_parse(text):
                 raise NetworkParseError(lineno, "empty node name")
             if args[0] in nodes:
                 raise NetworkParseError(lineno, f"duplicate node {args[0]!r}")
-            nodes.append(args[0])
+            nodes[args[0]] = None
         elif directive == "link":
             if len(args) != 2:
                 raise NetworkParseError(lineno, "link takes exactly two names")
@@ -224,9 +235,9 @@ def reference_parse(text):
                     raise NetworkParseError(lineno, f"unknown node {name!r}")
             if a == b:
                 raise NetworkParseError(lineno, f"self-link at {a!r}")
-            if {a, b} in linked:
+            if frozenset(args) in linked:
                 raise NetworkParseError(lineno, f"duplicate link {a!r} -- {b!r}")
-            linked.append({a, b})
+            linked.add(frozenset(args))
             links.append((a, b))
         else:
             raise NetworkParseError(lineno, f"unknown directive {directive!r}")
@@ -321,7 +332,7 @@ def test_parse_accepts_interleaved_node_and_link_lines(case):
     assert _parse_outcome(reference_parse, text) == expected
     if isinstance(expected, NetworkSpec):
         # a valid text never reaches the line-by-line reader
-        with mock.patch.object(network, "_line_splitter", _refuse):
+        with mock.patch.object(network, "_explain", _refuse):
             assert parse_network(text) == expected
     else:
         assert _parse_outcome(parse_network, text) == expected
@@ -352,8 +363,14 @@ def _parse_in_child(text):
 
 @pytest.mark.parametrize(
     "text",
-    ["node " + "a" * 5000 + "'", "node a\nlink a " + "b" * 5000 + '"', "a" * 5000 + "\\"],
-    ids=["open-quote", "open-double-quote", "trailing-backslash"],
+    [
+        "node " + "a" * 5000 + "'",
+        "node a\nlink a " + "b" * 5000 + '"',
+        "a" * 5000 + "\\",
+        # valid, but every line is refused by the pattern and read by shlex
+        "".join(f'"node" n{i}\n' for i in range(20_000)),
+    ],
+    ids=["open-quote", "open-double-quote", "trailing-backslash", "quoted-directives"],
 )
 def test_long_lines_agree_with_a_shlex_reference(text):
     expected = _parse_outcome(reference_parse, text)

@@ -8,6 +8,8 @@ import pytest
 
 from thetadim import (
     InvalidParamsError,
+    NetworkSpec,
+    assign_landmarks,
     build_c,
     detect_theta,
     new_graph,
@@ -169,14 +171,21 @@ def test_detect_field_network_arrangement():
     assert len(g.adjacency[shape.labels[5]]) == len(g.adjacency[shape.labels[7]]) == 3
 
 
-def test_parameterizations_one_per_middle_choice():
-    hub_a, hub_b, chains = theta._hub_chains(build_c(5, 3, 4))
-    shapes = [theta._shape(hub_a, hub_b, chains, mi) for mi in range(3)]
-    assert sorted((s.params.p, s.params.q, s.params.r) for s in shapes) == [
-        (4, 7, 1),
-        (5, 3, 4),
-        (5, 6, 1),
-    ]
+def test_detect_breaks_outer_ties_by_labels():
+    # C_{3,5,3} has two outer paths of equal length; the one whose internal
+    # labels sort first becomes outer-one, and that choice fixes the landmarks.
+    g = build_c(3, 5, 3)
+    perm = list(range(1, g.n + 1))
+    random.Random(7).shuffle(perm)
+    shuffled = relabel(g, dict(zip(range(1, g.n + 1), perm)))
+    shape = detect_theta(shuffled)
+    assert (shape.params.p, shape.params.q, shape.params.r) == (3, 5, 3)
+    assert shape.labels == (6, 3, 7, 1, 4, 11, 2, 10, 8, 5, 9)
+    spec = NetworkSpec(
+        nodes=tuple(f"v{v}" for v in range(1, g.n + 1)),
+        links=tuple((f"v{u}", f"v{v}") for u, v in sorted(shuffled.edges)),
+    )
+    assert assign_landmarks(spec).landmarks == ("v3", "v4", "v6")
 
 
 def test_detect_round_trips_exhaustively():
