@@ -35,12 +35,11 @@ removed) once per parse, then checks the whole spec with set and dict
 operations: node names non-empty and unique, each link's two names declared
 on earlier lines, no self-link and no link repeated in either orientation.
 A text that passes is accepted there and then.  Any other text goes to the
-explain step, which reads it line by line by the directive rules, and
-either returns its spec (a quoted directive, say) or names the first faulty
-line and its fault.  It takes a line the pattern matches from the pattern's
-words and hands only a line the pattern refuses to ``shlex``, so the word
-grammar, ``_WORD``, is written once, and the pattern refuses a line it does
-not match in linear time.
+explain step, which reads it line by line by the tokenizer and the
+directive rules, and either returns its spec (a quoted directive, say) or
+names the first faulty line and its fault.  The pattern and the tokenizer
+take their words from one rule, ``_WORD``, under which a line the pattern
+does not match is refused in linear time.
 
 The four spec rules (no duplicate node, no link to an undeclared node, no
 self-link, no repeated link) are stated once, in ``_Declared``.  The explain
@@ -146,14 +145,46 @@ class _DecodedWords(dict[str, str]):
 
 
 @functools.cache
+def _line_splitter() -> Callable[[str], list[str]]:
+    """The line tokenizer: ``split(line)`` gives the tokens of one line, as
+    ``shlex.split(line, comments=True)`` gives them, and raises
+    ``ValueError`` with shlex's message on a malformed line.
+
+    Its patterns are compiled on the first call, since only parsing needs
+    them, so importing the package for any other command does not pay for
+    them.  The cache publishes the finished tokenizer at once, so threads
+    that parse their first networks together never see half of it.
+    """
+    lexeme = re.compile(
+        rf"({_WORD})"
+        r"|#[^\n]*"  # a comment, to the end of the line
+        rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
+        r"""|(['"]).*""",  # an unclosed quote
+        re.DOTALL,
+    )
+    decode = _word_decoder()
+
+    def split(line: str) -> list[str]:
+        tokens = []
+        for word, no_escaped, no_closing in lexeme.findall(line):
+            if word:
+                tokens.append(decode(word))
+            elif no_escaped:
+                raise ValueError("No escaped character")
+            elif no_closing:
+                raise ValueError("No closing quotation")
+        return tokens
+
+    return split
+
+
+@functools.cache
 def _line_matcher() -> Callable[[str], re.Match | None]:
     """``match(line)``: the match of a whole ``node NAME`` or ``link A B``
     line, or of a blank or comment line, with an optional trailing comment;
     None for any other line.  Its groups are the raw words
     ``(NAME, None, None)``, ``(None, A, B)`` or ``(None, None, None)``.
-    Both steps read lines through it.  Compiled on the first parse, since
-    only parsing needs it, so importing the package for any other command
-    does not pay for it.
+    Compiled on the first parse, as the tokenizer is.
     """
     blank = r"[ \t\r\n]"
     return re.compile(
@@ -242,35 +273,15 @@ class _Declared:
         self.links[key] = (a, b)
 
 
-def _line_tokens(line: str, match: Callable[[str], re.Match | None], decode: Callable[[str], str]) -> list[str]:
-    """The tokens of one line, as ``shlex.split(line, comments=True)`` gives
-    them; ``ValueError`` with shlex's message on a malformed line.
-
-    A line that ``match`` (``_line_matcher()``) takes is read from its raw
-    words through ``decode`` (``_word_decoder()``); any other line goes to
-    shlex.
-    """
-    m = match(line)
-    if m is None:
-        import shlex  # only a line the pattern refuses needs shlex
-
-        return shlex.split(line, comments=True)
-    name, a, b = m.groups()
-    if name is not None:
-        return ["node", decode(name)]
-    return [] if a is None else ["link", decode(a), decode(b)]
-
-
 def _explain(text: str) -> NetworkSpec:
-    """The explain step: read the text line by line, each line through the
-    accept pattern or, where the pattern refuses it, through shlex, and by
-    the directive rules, giving its spec or a ``NetworkParseError`` that
-    names its first faulty line."""
+    """The explain step: read the text line by line by the tokenizer and the
+    directive rules, giving its spec or a ``NetworkParseError`` that names
+    its first faulty line."""
     declared = _Declared()
-    match, decode = _line_matcher(), _word_decoder()
+    split_line = _line_splitter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = _line_tokens(raw, match, decode)
+            tokens = split_line(raw)
         except ValueError as exc:
             raise NetworkParseError(lineno, f"unparsable line ({exc})") from exc
         if not tokens:
@@ -311,7 +322,7 @@ def format_network(spec: NetworkSpec) -> str:
         declared.node(name)
     for a, b in spec.links:
         declared.link(a, b)
-    import shlex  # writing network text quotes names; parsing a well-formed text never needs shlex
+    import shlex  # only writing network text quotes names; parsing never needs shlex
 
     lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
     lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)

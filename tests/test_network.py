@@ -28,7 +28,7 @@ from thetadim import (
 from thetadim import network
 
 def _split_line(line):
-    return network._line_tokens(line, network._line_matcher(), network._word_decoder())
+    return network._line_splitter()(line)
 
 
 TWO_NODES = """
@@ -129,17 +129,8 @@ def _split_outcome(split, line):
         return f"ValueError: {exc}"
 
 
-_LINE_ALPHABET = list("'\"\\# \t\x0bab\r\n")
-_LINE_WORD = st.text(alphabet=_LINE_ALPHABET, max_size=6)
-
-
 @settings(deadline=None, max_examples=1000)
-@given(st.one_of(
-    st.text(alphabet=_LINE_ALPHABET, max_size=24),
-    # lines shaped like directives, so that many reach the pattern's path
-    st.builds("node {}".format, _LINE_WORD),
-    st.builds("link {} {}".format, _LINE_WORD, _LINE_WORD),
-))
+@given(st.text(alphabet=list("'\"\\# \t\x0bab\r\n"), max_size=24))
 @example("a\\")
 @example('"a\\')
 @example('"a\\"')
@@ -178,23 +169,23 @@ def test_well_formed_lines_never_reach_shlex(monkeypatch):
 
 
 def test_first_line_splits_are_thread_safe():
-    # The pattern and the word decoder compile on the first split; threads
+    # The tokenizer and its word decoder compile on the first split; threads
     # that split their first lines together must each get all of them, quote
-    # handling included, on a line the pattern takes and on one it refuses.
-    lines = [r"""link "a \"b\"" 'c d'e\ f  # note""", r"""node "a \"b\"" 'c d' e\ f  # note"""]
-    expected = [["link", 'a "b"', "c de f"], ["node", 'a "b"', "c d", "e f"]]
+    # handling included.
+    line = r"""node "a \"b\"" 'c d' e\ f  # note"""
+    expected = ["node", 'a "b"', "c d", "e f"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(50):
-            network._line_matcher.cache_clear()
+            network._line_splitter.cache_clear()
             network._word_decoder.cache_clear()
             start = threading.Barrier(8)
             results = []
 
             def split():
                 start.wait()
-                results.append([_split_line(line) for line in lines])
+                results.append(_split_line(line))
 
             threads = [threading.Thread(target=split) for _ in range(8)]
             for t in threads:
@@ -367,7 +358,7 @@ def _parse_in_child(text):
         "node " + "a" * 5000 + "'",
         "node a\nlink a " + "b" * 5000 + '"',
         "a" * 5000 + "\\",
-        # valid, but every line is refused by the pattern and read by shlex
+        # valid, but every line is refused by the pattern and read by the tokenizer
         "".join(f'"node" n{i}\n' for i in range(20_000)),
     ],
     ids=["open-quote", "open-double-quote", "trailing-backslash", "quoted-directives"],
@@ -386,8 +377,9 @@ def test_long_lines_agree_with_a_shlex_reference(text):
         ("'" * 200_001, "unparsable line (No closing quotation)"),
         ("\\" * 200_001, "unparsable line (No escaped character)"),
         ("node " + "a " * 100_000, "node takes exactly one name"),
+        ("a" * 1_000_000 + "'", "unparsable line (No closing quotation)"),
     ],
-    ids=["long-word-open-quote", "quotes", "backslashes", "many-words"],
+    ids=["long-word-open-quote", "quotes", "backslashes", "many-words", "million-char-word"],
 )
 def test_parse_cost_is_bounded(text, message):
     assert _parse_in_child(text) == (f"line 1: {message}\n", "")
