@@ -317,34 +317,60 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
 
 _Claims = tuple[tuple[int, ...] | str, ...]
 
+#: A case table in dispatch labelling, keyed by ``(tag, p, q, r)``: its
+#: landmarks in coordinate order and its evaluated claims.
+_Tables = dict[tuple[str, int, int, int], tuple[tuple[int, ...], _Claims]]
 
-def _closed_form(p: int, q: int, r: int) -> tuple[ClosedFormResult, Callable[[], _Claims]]:
+
+def _evaluate(cells: list[_Cell], n: int) -> _Claims:
+    """The claim of each vertex 1..n of a case's cells, in its labelling."""
+    entries: list[tuple[int, ...] | str] = ["uncovered"] * n
+    for lo, hi, fn in cells:
+        for a in range(max(lo, 1), min(hi, n) + 1):
+            claim, seen = fn(a), entries[a - 1]
+            entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
+    return tuple(entries)
+
+
+def _closed_form(
+    p: int, q: int, r: int, tables: _Tables | None = None
+) -> tuple[ClosedFormResult, Callable[[], _Claims]]:
     """The result of :func:`closed_form_basis`, and a call that evaluates its
     case table into :func:`formula_representation`, from one dispatch.
 
-    No cell formula is evaluated until the second value is called.
+    Without ``tables`` no cell formula is evaluated until the second value
+    is called.  With ``tables``, the case table of the dispatch triple is
+    read from it, or evaluated at once and stored there on a miss, so a
+    triple and its mirror ``(r, q, p)``, which dispatch to the same table,
+    evaluate it once between them.
     """
     tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    landmarks, cells = _case(tag, pp, qq, rr)
-    if tag == "T4-P3a" and pp == 1:
-        # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
-        # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
-        # there, while the cells keep the generic landmark and so diverge.
-        landmarks = (1, pp + 1)
+    key = (tag, pp, qq, rr)
+    if tables is not None and key in tables:
+        landmarks, table = tables[key]
+    else:
+        landmarks, cells = _case(tag, pp, qq, rr)
+        if tag == "T4-P3a" and pp == 1:
+            # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
+            # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
+            # there, while the cells keep the generic landmark and so diverge.
+            landmarks = (1, pp + 1)
+        table = None
+        if tables is not None:
+            table = _evaluate(cells, p + q + r)
+            tables[key] = landmarks, table
     if swapped:
         # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
         landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
 
     def claims() -> _Claims:
-        n = p + q + r
-        entries: list[tuple[int, ...] | str] = ["uncovered"] * n
-        for lo, hi, fn in cells:
-            for a in range(max(lo, 1), min(hi, n) + 1):
-                claim, seen = fn(a), entries[a - 1]
-                entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
+        entries = _evaluate(cells, p + q + r) if table is None else table
         if swapped:
-            entries = [entries[_swap(p, q, r, v) - 1] for v in range(1, n + 1)]
-        return tuple(entries)
+            # vertex v reads the claim of _swap(p, q, r, v): the first p
+            # vertices of C_{p,q,r} read the last p entries of C_{r,q,p}, the
+            # middle q read the middle q, and the last r read the first r
+            entries = (*entries[r + q:], *entries[r:r + q], *entries[:r])
+        return entries
 
     return ClosedFormResult(case=TheoremCase(tag=tag, swapped=swapped), landmarks=landmarks), claims
 

@@ -30,6 +30,13 @@ check runs per triple, in the triple's own labelling: resolution,
 minimality and the table diff read each triple's own landmark rows, and no
 record is derived from another's.
 
+A triple and its mirror ``(r, q, p)`` dispatch to one case table, in one
+labelling, so the sweep evaluates each table once per mirror pair, on the
+pair's first triple, and the other triple reads the claims in its own
+labels as three slices of it.  The table diff compares a triple's claims
+with its BFS vectors as two whole tuples, and goes vertex by vertex only
+when they differ, to name the vertices that do.
+
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
 records.  The JSON text is the standard library's with a two-space indent,
@@ -54,7 +61,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
-from .closed_form import _closed_form
+from .closed_form import _closed_form, _Tables
 from .graphs import Graph
 from .resolve import _minimal, _resolves, _search, _valid_landmarks
 from .theta import _class_labels, build_c, validate_params
@@ -83,7 +90,9 @@ class SweepRecord:
     ``elapsed`` is the wall time of the checks.  The first triple of an
     isomorphism class in a sweep also pays for the class graph, for the
     search that settles the dimension, and for the BFS rows it reads, which
-    later triples of the class reuse along with the dimension.
+    later triples of the class reuse along with the dimension.  The first
+    triple of a mirror pair in a sweep also pays for evaluating the case
+    table, which its mirror reads.
     """
 
     p: int
@@ -152,11 +161,19 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
     return _check(p, q, r, {})
 
 
-def _check(p: int, q: int, r: int, classes: dict[tuple[int, int, int], tuple[Graph, int]]) -> SweepRecord:
+def _check(
+    p: int, q: int, r: int, classes: dict[tuple[int, int, int], tuple[Graph, int]], tables: _Tables | None = None
+) -> SweepRecord:
     """``check_triple``, reading the class graph and the class dimension
-    from ``classes``, keyed by class triple, and storing them there on a miss."""
+    from ``classes``, keyed by class triple, and storing them there on a miss,
+    and the evaluated case table from ``tables`` when given (see
+    :func:`closed_form._closed_form`).
+
+    The table diff compares the claims with the BFS vectors as two whole
+    tuples, and walks the vertices only when the tuples differ.
+    """
     start = time.perf_counter()
-    result, claims = _closed_form(p, q, r)
+    result, claims = _closed_form(p, q, r, tables)
     key, labels = _class_labels(p, q, r)
     n = len(labels)
     g, oracle_dim = classes.get(key) or (build_c(*key), None)
@@ -178,11 +195,13 @@ def _check(p: int, q: int, r: int, classes: dict[tuple[int, int, int], tuple[Gra
         classes[key] = g, oracle_dim
 
     mismatches: list[TableMismatch] = []
-    for v, (claimed, ground) in enumerate(zip(claims(), zip(*rows), strict=True), start=1):
-        if isinstance(claimed, str):
-            mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=claimed))
-        elif claimed != ground:
-            mismatches.append(TableMismatch(vertex=v, formula=claimed, bfs=ground))
+    claimed_vectors, bfs_vectors = claims(), tuple(zip(*rows))
+    if claimed_vectors != bfs_vectors:
+        for v, (claimed, ground) in enumerate(zip(claimed_vectors, bfs_vectors, strict=True), start=1):
+            if isinstance(claimed, str):
+                mismatches.append(TableMismatch(vertex=v, formula=None, bfs=ground, note=claimed))
+            elif claimed != ground:
+                mismatches.append(TableMismatch(vertex=v, formula=claimed, bfs=ground))
 
     return SweepRecord(
         p=p,
@@ -206,13 +225,16 @@ def sweep(max_n: int) -> SweepReport:
 
     Each isomorphism class has one graph, built on its first triple, and one
     dimension, settled there; every triple reads its rows from that graph.
-    A class's triples share n and come in order of n, so the sweep drops the
-    class graphs of one n once it has passed that n.
+    Each mirror pair ``(p, q, r)``, ``(r, q, p)`` has one evaluated case
+    table, evaluated on its first triple.  A class's triples and a mirror
+    pair share n and come in order of n, so the sweep drops the class graphs
+    and the tables of one n once it has passed that n.
     """
     records: list[SweepRecord] = []
     for _, triples in itertools.groupby(valid_triples(max_n), key=sum):
         classes: dict[tuple[int, int, int], tuple[Graph, int]] = {}
-        records.extend(_check(p, q, r, classes) for p, q, r in triples)
+        tables: _Tables = {}
+        records.extend(_check(p, q, r, classes, tables) for p, q, r in triples)
     return SweepReport(max_n=max_n, records=tuple(records))
 
 
@@ -285,17 +307,30 @@ def _writer(hint, depth: int) -> Callable[[object], str]:
     raise TypeError(f"no JSON writer for {hint!r}")
 
 
-def _csv_cell(rec: SweepRecord, column: str):
-    if column == "basis":
-        return ",".join(map(str, rec.basis))
-    if column == "table_mismatch_count":
-        return len(rec.table_mismatches)
-    if column == "table_mismatches":
-        return "; ".join(
-            f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
-            for m in rec.table_mismatches
-        )
-    return getattr(rec, column)
+def _csv_basis(rec: SweepRecord) -> str:
+    return ",".join(map(str, rec.basis))
+
+
+def _csv_mismatch_count(rec: SweepRecord) -> int:
+    return len(rec.table_mismatches)
+
+
+def _csv_mismatches(rec: SweepRecord) -> str:
+    return "; ".join(
+        f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
+        for m in rec.table_mismatches
+    )
+
+
+#: The function that gives a record's cell in each CSV column, in order.
+_CSV_CELLS: tuple[Callable[[SweepRecord], object], ...] = tuple(
+    {
+        "basis": _csv_basis,
+        "table_mismatch_count": _csv_mismatch_count,
+        "table_mismatches": _csv_mismatches,
+    }.get(column) or operator.attrgetter(column)
+    for column in _CSV_COLUMNS
+)
 
 
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
@@ -314,7 +349,7 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        writer.writerows([_csv_cell(rec, column) for column in _CSV_COLUMNS] for rec in report.records)
+        writer.writerows([cell(rec) for cell in _CSV_CELLS] for rec in report.records)
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
 

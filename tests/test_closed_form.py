@@ -221,6 +221,41 @@ def test_formula_representation_for_swapped_dispatch():
             assert claimed == representation(D, v, result.landmarks), (p, q, r, v)
 
 
+def pulled_back_table(p, q, r):
+    """The landmarks and claims of (p, q, r) as its case table states them,
+    pulled back one vertex at a time through the swap when it dispatches
+    through one."""
+    tag, (pp, qq, rr), swapped = closed_form._dispatch(p, q, r)
+    landmarks, cells = closed_form._case(tag, pp, qq, rr)
+    if tag == "T4-P3a" and pp == 1:
+        landmarks = (1, 2)  # C_{1,2,1}: the hub v_2 completes the basis
+    n = p + q + r
+    claimed = [set() for _ in range(n)]
+    for lo, hi, fn in cells:
+        for a in range(max(lo, 1), min(hi, n) + 1):
+            claimed[a - 1].add(fn(a))
+    entries = ["uncovered" if not c else c.pop() if len(c) == 1 else "ambiguous" for c in claimed]
+    if swapped:
+        landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
+        entries = [entries[_swap(p, q, r, v) - 1] for v in range(1, n + 1)]
+    return landmarks, tuple(entries)
+
+
+def test_tables_pull_back_and_evaluate_once_per_mirror_pair():
+    # A swapped triple's claims are the slices of its mirror's table; with a
+    # shared dict of tables, a triple and its mirror (r, q, p) read one
+    # evaluation and get what each gets on its own.
+    tables = {}
+    for p, q, r in valid_triples(40):
+        landmarks, claims = pulled_back_table(p, q, r)
+        assert closed_form_basis(p, q, r).landmarks == landmarks, (p, q, r)
+        assert formula_representation(p, q, r) == claims, (p, q, r)
+        result, memo_claims = closed_form._closed_form(p, q, r, tables)
+        alone, own_claims = closed_form._closed_form(p, q, r)
+        assert result == alone and memo_claims() == own_claims(), (p, q, r)
+    assert len(tables) == len({closed_form._dispatch(*t)[:2] for t in valid_triples(40)})
+
+
 def test_swapped_landmarks_cost_no_per_vertex_work():
     # the swap pulls the 2-3 landmarks back one at a time, so a swapped
     # triple with a million vertices allocates no per-vertex map

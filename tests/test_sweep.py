@@ -21,6 +21,7 @@ from thetadim import (
     bfs_distances,
     build_c,
     check_triple,
+    closed_form,
     emit_report,
     metric_dimension_oracle,
     parse_report,
@@ -156,8 +157,8 @@ def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
     landmarks = {}
     closed_form = sweep_module._closed_form
 
-    def keeping_landmarks(p, q, r):
-        result, claims = closed_form(p, q, r)
+    def keeping_landmarks(p, q, r, *tables):
+        result, claims = closed_form(p, q, r, *tables)
         landmarks[p, q, r] = result.landmarks
         return result, claims
 
@@ -190,13 +191,32 @@ def test_sweep_builds_one_graph_per_isomorphism_class(monkeypatch):
     assert len(built) == len(set(built)) == 56
 
 
+def test_sweep_evaluates_each_case_table_once_per_sweep(monkeypatch):
+    # A triple and its mirror (r, q, p) dispatch to one case table, which a
+    # sweep builds once; a second sweep builds every table again.
+    built = []
+    case = closed_form._case
+
+    def counting(tag, p, q, r):
+        built.append((tag, p, q, r))
+        return case(tag, p, q, r)
+
+    monkeypatch.setattr(closed_form, "_case", counting)
+    tables = {closed_form._dispatch(*triple)[:2] for triple in valid_triples(12)}
+    assert len(tables) < len(list(valid_triples(12)))
+    sweep(12)
+    assert len(built) == len(tables)
+    sweep(12)
+    assert len(built) == 2 * len(tables)
+
+
 def with_landmarks(monkeypatch, triple, landmarks):
     """Make the sweep's closed form give ``landmarks`` for ``triple``; its
     dimension is their count, and every other triple is left as it is."""
     closed_form = sweep_module._closed_form
 
-    def patched(p, q, r):
-        result, claims = closed_form(p, q, r)
+    def patched(p, q, r, *tables):
+        result, claims = closed_form(p, q, r, *tables)
         if (p, q, r) == triple:
             result = dataclasses.replace(result, landmarks=landmarks)
         return result, claims
