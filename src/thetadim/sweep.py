@@ -11,12 +11,11 @@ dimension once.  A theta graph is fixed up to isomorphism by the multiset of
 its hub-to-hub path lengths, so the triples with the same sorted path
 lengths are one graph under different labels.  The class graph is
 ``build_c(x, y + 2, z)`` for the chains' internal counts sorted into
-x >= y >= z, and ``theta._class_labels`` renames each vertex of a triple to
-its vertex there, chain onto chain in order from hub a and hub onto hub.  A
-triple's landmark rows are BFS rows of the class graph, read back in the
-triple's own labels through that renaming; they are exactly the BFS rows of
-the triple's own graph.  Metric dimension is an isomorphism invariant, and
-a record keeps only the oracle's dimension, not its witness, so the
+x >= y >= z, and ``theta._class_labels`` gives the offsets that rename a
+triple onto it, run by run: the p-chain, hub a, the middle internals, hub b
+and the r-chain each map onto consecutive class labels, chains in order
+from hub a and hub onto hub.  Metric dimension is an isomorphism invariant,
+and a record keeps only the oracle's dimension, not its witness, so the
 oracle's search runs on the class graph, once, for the first triple of the
 class, whose closed-form landmarks are checked first.  When they resolve, s
 of them bound the dimension by s, and the search runs over the sizes below
@@ -25,17 +24,25 @@ when it finds none.  A theta graph is never a path, so a class with a
 resolving basis of two tests no candidate.  When the landmarks do not
 resolve, the full oracle runs.  Either way the dimension is the oracle's
 exact one, so a basis larger than the dimension shows as a dimension
-mismatch and a basis that does not resolve as a basis failure.  Every other
-check runs per triple, in the triple's own labelling: resolution,
-minimality and the table diff read each triple's own landmark rows, and no
-record is derived from another's.
+mismatch and a basis that does not resolve as a basis failure.
+
+Resolution is an isomorphism invariant too (Khuller, Raghavachari &
+Rosenfeld 1996), and so is minimality, so a landmark set's verdicts can be
+read from its image in the class graph.  A class landmark set is the tuple
+of a triple's closed-form landmarks' images there, in coordinate order.
+The sweep reads its BFS rows from the class graph and settles its
+resolution and minimality once, on the first triple that lands on it; a
+later triple of the class with the same images reads them.  A triple reads
+its own BFS vectors as five slices of the class landmark set's vectors, one
+per run; they are exactly the BFS vectors of the triple's own graph.
 
 A triple and its mirror ``(r, q, p)`` dispatch to one case table, in one
 labelling, so the sweep evaluates each table once per mirror pair, on the
 pair's first triple, and the other triple reads the claims in its own
-labels as three slices of it.  The table diff compares a triple's claims
-with its BFS vectors as two whole tuples, and goes vertex by vertex only
-when they differ, to name the vertices that do.
+labels as three slices of it.  The table diff runs per triple, in the
+triple's own labelling: it compares the triple's claims with its BFS
+vectors as two whole tuples, and goes vertex by vertex only when they
+differ, to name the vertices that do.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
@@ -88,11 +95,12 @@ class SweepRecord:
     """Outcome of all checks for one (p, q, r) triple.
 
     ``elapsed`` is the wall time of the checks.  The first triple of an
-    isomorphism class in a sweep also pays for the class graph, for the
-    search that settles the dimension, and for the BFS rows it reads, which
-    later triples of the class reuse along with the dimension.  The first
-    triple of a mirror pair in a sweep also pays for evaluating the case
-    table, which its mirror reads.
+    isomorphism class in a sweep also pays for the class graph and for the
+    search that settles the dimension, which later triples of the class
+    reuse.  The first triple of a class landmark set pays for its BFS rows
+    and its resolution and minimality checks, which later triples with the
+    same set reuse.  The first triple of a mirror pair in a sweep also pays
+    for evaluating the case table, which its mirror reads.
     """
 
     p: int
@@ -161,41 +169,66 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
     return _check(p, q, r, {})
 
 
-def _check(
-    p: int, q: int, r: int, classes: dict[tuple[int, int, int], tuple[Graph, int]], tables: _Tables | None = None
-) -> SweepRecord:
-    """``check_triple``, reading the class graph and the class dimension
-    from ``classes``, keyed by class triple, and storing them there on a miss,
-    and the evaluated case table from ``tables`` when given (see
-    :func:`closed_form._closed_form`).
+#: A class landmark set's BFS vectors in class labels, ``basis_ok`` and
+#: ``basis_minimal``, keyed by the landmarks' images in the class graph.
+_LandmarkSets = dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], bool, bool]]
 
-    The table diff compares the claims with the BFS vectors as two whole
-    tuples, and walks the vertices only when the tuples differ.
+#: The class graph, the class dimension and the class landmark sets, keyed
+#: by class triple.
+_Classes = dict[tuple[int, int, int], tuple[Graph, int, _LandmarkSets]]
+
+
+def _check(p: int, q: int, r: int, classes: _Classes, tables: _Tables | None = None) -> SweepRecord:
+    """``check_triple``, reading the class graph, the class dimension and
+    the verdicts of the class landmark sets from ``classes``, keyed by class
+    triple, and storing them there on a miss, and the evaluated case table
+    from ``tables`` when given (see :func:`closed_form._closed_form`).
+
+    A class landmark set is the tuple of the closed-form landmarks' images
+    in the class graph, in coordinate order.  Its BFS vectors, read once in
+    class labels, and its resolution and minimality are computed on its
+    first triple and read by every later triple of the class with the same
+    images: the renaming is an isomorphism, which keeps both verdicts.  A
+    triple reads its own BFS vectors as five slices of the class vectors,
+    and the table diff compares them with the triple's claims as two whole
+    tuples, walking the vertices only when the tuples differ.
     """
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r, tables)
-    key, labels = _class_labels(p, q, r)
-    n = len(labels)
-    g, oracle_dim = classes.get(key) or (build_c(*key), None)
-    row_of = g.distance_row
-    # The landmark rows, read once in coordinate order from the class graph
-    # and back in the triple's own labels, settle resolution and minimality
-    # (neither depends on the order), bound the dimension search and are the
-    # BFS ground truth of the table diff.
-    rows = [tuple(map(row_of(labels[w - 1] + 1).__getitem__, labels)) for w in _valid_landmarks(result.landmarks, n)]
-    basis_ok = _resolves(rows, n)
-    basis_minimal = basis_ok and _minimal(rows, n)
+    key, (a, hub_a, m, hub_b, c) = _class_labels(p, q, r)
+    n = p + q + r
+    # The 1-based image in the class graph of each landmark: the offset of
+    # its run plus its place in the run.
+    images = tuple(
+        a + w if w <= p
+        else hub_a + 1 if w == p + 1
+        else m + w - p - 1 if w < p + q
+        else hub_b + 1 if w == p + q
+        else c + w - p - q
+        for w in _valid_landmarks(result.landmarks, n)
+    )
+    g, oracle_dim, landmark_sets = classes.get(key) or (build_c(*key), None, {})
+    verdict = landmark_sets.get(images)
+    if verdict is None:
+        # Neither resolution nor minimality depends on the landmark order.
+        rows = list(map(g.distance_row, images))
+        basis_ok = _resolves(rows, n)
+        verdict = landmark_sets[images] = tuple(zip(*rows)), basis_ok, basis_ok and _minimal(rows, n)
+    vectors, basis_ok, basis_minimal = verdict
     if oracle_dim is None:
         # A resolving basis of s landmarks bounds the dimension by s, so the
         # oracle's search need only try the sizes below s; without one it
         # searches every size.
-        below = len(rows) if basis_ok else n + 1
+        below = len(images) if basis_ok else n + 1
         found = _search(g, below)
         oracle_dim = below if found is None else found.dimension
-        classes[key] = g, oracle_dim
+        classes[key] = g, oracle_dim, landmark_sets
 
     mismatches: list[TableMismatch] = []
-    claimed_vectors, bfs_vectors = claims(), tuple(zip(*rows))
+    claimed_vectors = claims()
+    # The triple's own BFS vectors: the class vectors of its five runs, in
+    # its own order.
+    bfs_vectors = (*vectors[a : a + p], vectors[hub_a], *vectors[m : m + q - 2], vectors[hub_b], *vectors[c : c + r])
     if claimed_vectors != bfs_vectors:
         for v, (claimed, ground) in enumerate(zip(claimed_vectors, bfs_vectors, strict=True), start=1):
             if isinstance(claimed, str):
@@ -224,15 +257,17 @@ def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order.
 
     Each isomorphism class has one graph, built on its first triple, and one
-    dimension, settled there; every triple reads its rows from that graph.
-    Each mirror pair ``(p, q, r)``, ``(r, q, p)`` has one evaluated case
-    table, evaluated on its first triple.  A class's triples and a mirror
-    pair share n and come in order of n, so the sweep drops the class graphs
-    and the tables of one n once it has passed that n.
+    dimension, settled there; each class landmark set has one set of BFS
+    vectors and one resolution and minimality verdict, settled on its first
+    triple.  Each mirror pair ``(p, q, r)``, ``(r, q, p)`` has one evaluated
+    case table, evaluated on its first triple.  A class's triples and a
+    mirror pair share n and come in order of n, so the sweep drops the class
+    graphs, their landmark sets and the tables of one n once it has passed
+    that n.
     """
     records: list[SweepRecord] = []
     for _, triples in itertools.groupby(valid_triples(max_n), key=sum):
-        classes: dict[tuple[int, int, int], tuple[Graph, int]] = {}
+        classes: _Classes = {}
         tables: _Tables = {}
         records.extend(_check(p, q, r, classes, tables) for p, q, r in triples)
     return SweepReport(max_n=max_n, records=tuple(records))

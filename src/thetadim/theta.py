@@ -124,15 +124,21 @@ def _swap(p: int, q: int, r: int, v: int) -> int:
     return v - p - q
 
 
-def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[int, ...]]:
-    """The class triple of ``C_{p,q,r}`` and the 0-based label in its graph
-    of each vertex 1..n of ``C_{p,q,r}``.
+def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int, int]]:
+    """The class triple of ``C_{p,q,r}`` and the offsets that rename
+    ``C_{p,q,r}`` onto its graph.
 
     The chains' internal counts p, q - 2 and r, sorted into x >= y >= z (ties
     kept in chain order), give the class graph ``build_c(x, y + 2, z)``, the
     same for every triple of the isomorphism class.  Each chain maps onto the
     class chain of its count, in order from hub a, and hubs map onto hubs, so
     the map is adjacency-preserving.
+
+    The vertices 1..n of ``C_{p,q,r}`` fall into five runs of consecutive
+    labels: the p-chain v_1..v_p, hub a v_{p+1}, the middle internals
+    v_{p+2}..v_{p+q-1}, hub b v_{p+q} and the r-chain v_{p+q+1}..v_n.  Each
+    run maps onto consecutive labels of the class graph, in order, and the
+    offsets are the 0-based class labels of the five runs' first vertices.
     """
     counts = (p, q - 2, r)
     order = sorted(range(3), key=counts.__getitem__, reverse=True)
@@ -140,8 +146,7 @@ def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[i
     starts = [0, 0, 0]
     for chain, start in zip(order, (0, x + 1, x + y + 2)):
         starts[chain] = start
-    ranges = [range(start, start + count) for start, count in zip(starts, counts)]
-    return (x, y + 2, z), (*ranges[0], x, *ranges[1], x + y + 1, *ranges[2])
+    return (x, y + 2, z), (starts[0], x, starts[1], x + y + 1, starts[2])
 
 
 def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:

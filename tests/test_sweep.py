@@ -31,6 +31,8 @@ from thetadim import (
     valid_triples,
 )
 
+from conftest import class_labels
+
 #: The module, which the package's ``sweep`` function shadows as an attribute.
 sweep_module = importlib.import_module("thetadim.sweep")
 
@@ -152,29 +154,47 @@ def test_dimension_two_record_reads_only_its_landmark_and_vertex_1_rows(bfs_sour
 
 
 def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
-    # The landmark rows each record is checked on, read from its class graph
-    # and renamed, are the BFS rows of the triple's own graph.
-    landmarks = {}
-    closed_form = sweep_module._closed_form
+    # With every claim "uncovered", the table diff lists every vertex with the
+    # BFS vector it read, sliced from the class vectors: it must be the vector
+    # of the triple's own graph to the triple's closed-form landmarks.
+    forms = sweep_module._closed_form
 
-    def keeping_landmarks(p, q, r, *tables):
-        result, claims = closed_form(p, q, r, *tables)
-        landmarks[p, q, r] = result.landmarks
-        return result, claims
+    def uncovered(p, q, r, *tables):
+        result, _ = forms(p, q, r, *tables)
+        return result, lambda: ("uncovered",) * (p + q + r)
 
-    rows_read = {}
+    monkeypatch.setattr(sweep_module, "_closed_form", uncovered)
+    report = sweep(24)
+    assert len(report.records) == 2233
+    for rec in report.records:
+        g = build_c(rec.p, rec.q, rec.r)
+        rows = [bfs_distances(g, w) for w in closed_form.closed_form_basis(rec.p, rec.q, rec.r).landmarks]
+        expected = [TableMismatch(v, None, vector, "uncovered") for v, vector in enumerate(zip(*rows), start=1)]
+        assert list(rec.table_mismatches) == expected, (rec.p, rec.q, rec.r)
+
+
+def test_sweep_checks_resolution_once_per_class_landmark_set(monkeypatch):
+    # Resolution and minimality depend only on where the landmarks land in
+    # the class graph, so a sweep checks each class landmark set once; a
+    # second sweep checks every set again.
+    checks = []
     resolves = sweep_module._resolves
 
-    def keeping_rows(rows, n):
-        rows_read.setdefault(next(reversed(landmarks)), rows)
+    def counting(rows, n):
+        checks.append(n)
         return resolves(rows, n)
 
-    monkeypatch.setattr(sweep_module, "_closed_form", keeping_landmarks)
-    monkeypatch.setattr(sweep_module, "_resolves", keeping_rows)
-    assert len(sweep(24).records) == len(rows_read) == 2233
-    for (p, q, r), rows in rows_read.items():
-        g = build_c(p, q, r)
-        assert rows == [tuple(bfs_distances(g, w)) for w in landmarks[p, q, r]], (p, q, r)
+    monkeypatch.setattr(sweep_module, "_resolves", counting)
+    landmark_sets = set()
+    for p, q, r in valid_triples(12):
+        key, labels = class_labels(p, q, r)
+        landmarks = closed_form.closed_form_basis(p, q, r).landmarks
+        landmark_sets.add((key, tuple(labels[w - 1] for w in landmarks)))
+    assert len(landmark_sets) == 121
+    sweep(12)
+    assert len(checks) == len(landmark_sets)
+    sweep(12)
+    assert len(checks) == 2 * len(landmark_sets)
 
 
 def test_sweep_builds_one_graph_per_isomorphism_class(monkeypatch):
@@ -237,6 +257,17 @@ def test_a_basis_that_does_not_resolve_gets_the_full_oracle(monkeypatch):
     assert check_triple(3, 5, 5) == record
     assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (1, 1)
     assert assert_dimensions_are_the_oracles(report) > 1
+
+
+def test_the_landmark_memo_leaks_no_verdict(monkeypatch):
+    # (3, 5, 5) is the first triple of its class at n = 13, which (3, 7, 3)
+    # and (5, 5, 3) share.  Landmarks that do not resolve it change its own
+    # record alone: a later triple of the class reads only the verdict of
+    # its own landmarks' images.
+    plain = sweep(13).records
+    with_landmarks(monkeypatch, (3, 5, 5), (9, 10))
+    patched = sweep(13).records
+    assert [(a.p, a.q, a.r) for a, b in zip(plain, patched, strict=True) if a != b] == [(3, 5, 5)]
 
 
 def test_a_resolving_basis_above_the_dimension_is_a_mismatch(monkeypatch):

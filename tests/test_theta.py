@@ -19,6 +19,8 @@ from thetadim import (
 )
 from thetadim import theta
 
+from conftest import class_labels
+
 
 def relabel(g, mapping):
     return new_graph(g.n, [(mapping[u], mapping[v]) for u, v in g.edges])
@@ -111,9 +113,10 @@ def test_swap_preserves_adjacency_exhaustively():
 
 def test_class_labels_map_each_triple_onto_its_class_graph():
     # The class graph is build_c(x, y + 2, z) for the internal counts sorted
-    # into x >= y >= z; the labels rename the triple's graph onto it.
+    # into x >= y >= z; the labels, rebuilt from the run offsets, rename the
+    # triple's graph onto it.
     for p, q, r in valid_triples(30):
-        key, labels = theta._class_labels(p, q, r)
+        key, labels = class_labels(p, q, r)
         x, y, z = sorted((p, q - 2, r), reverse=True)
         assert key == (x, y + 2, z)
         src = build_c(p, q, r)
