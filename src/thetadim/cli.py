@@ -1,18 +1,19 @@
 """Command-line interface.
 
 Every command has a bounded cost.  ``build``, ``check`` and ``dim --oracle``
-refuse a graph above ``MAX_ORDER`` vertices before building it, and
-``sweep`` a range above ``MAX_SWEEP_N`` = 40, a sweep of a few seconds.  The
+refuse a graph above ``MAX_ORDER`` vertices before building it, ``sweep`` a
+range above ``MAX_SWEEP_N`` = 40, a sweep of a few seconds, and
+``landmarks`` a file above ``MAX_NETWORK_BYTES`` before parsing it.  The
 exhaustive oracle, which ``dim --oracle``, ``sweep`` and ``landmarks`` on a
 non-theta network run, refuses any search level whose C(n, k) candidates of
 n vertices each are over its work budget, ``resolve.ORACLE_LEVEL_BUDGET``.
 
 Exit codes: 0 on success, 1 on domain errors (invalid parameters, a
-non-resolving set reported by ``check``, disconnected networks, a graph or
-range above its limit, an oracle search over its budget), 2 on usage and
-parse errors and on files that cannot be read or written.  All structured
-output is line-oriented and stable, so it can be pinned by golden-file
-tests.
+non-resolving set reported by ``check``, disconnected networks, a graph,
+range or network file above its limit, an oracle search over its budget),
+2 on usage and parse errors and on files that cannot be read or written.
+All structured output is line-oriented and stable, so it can be pinned by
+golden-file tests.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ MAX_ORDER = 2000
 #: JSON report takes about 1.1-1.2 s at a 43 MB peak RSS (2-CPU x86-64 host,
 #: CPython 3.11).
 MAX_SWEEP_N = 40
+
+#: Largest network file ``landmarks`` reads, in bytes.  Parsing and coding a
+#: network take time and memory linear in its file: a 6.1 MB theta network of
+#: 200,002 nodes ran for 3.8 s at a 161 MB peak RSS.  A file of this size
+#: holds about 35,000 theta nodes, and the benchmark's largest network of
+#: 1,500 nodes takes about 45 KB.
+MAX_NETWORK_BYTES = 1 << 20
 
 
 def _bounded_graph(args) -> Graph:
@@ -141,11 +149,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landmarks(args) -> int:
     try:
-        with open(args.file, encoding="utf-8-sig") as fh:  # drops a leading byte-order mark
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read(MAX_NETWORK_BYTES + 1)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if len(data) > MAX_NETWORK_BYTES:
+        raise ValueError(f"network file {args.file} exceeds the size limit {MAX_NETWORK_BYTES} bytes")
+    # The bytes are decoded without newline translation: the parser ends
+    # lines at every str.splitlines boundary, "\r" and "\r\n" included.
+    try:
+        text = data.decode("utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
         print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return 2

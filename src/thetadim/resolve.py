@@ -5,7 +5,7 @@ of hop distances to W, so every check reads only the |W| BFS rows of the
 landmarks and tests whether the n vectors they give are pairwise distinct.
 The oracle realizes the definition directly by enumerating candidate sets in
 size-then-lexicographic order, so its answers are exact and serve as ground
-truth for every closed-form claim.  It skips only candidates that two
+truth for every closed-form claim.  It skips only candidates that three
 classic facts rule out, so its first resolving candidate, the witness, is the
 one the full enumeration finds:
 
@@ -13,6 +13,13 @@ one the full enumeration finds:
   vertex, so every resolving set holds all but at most one vertex of each
   twin class (Hernando, Mora, Pelayo, Seara & Wood, "Extremal graph
   theory for metric dimension and diameter", 2010);
+- a leg of a vertex v of degree 3 or more is a path of degree-2 vertices
+  hanging off v and ending in a leaf.  The neighbours of v on two legs are
+  equally far from every vertex off those legs, so every resolving set has a
+  vertex on all but at most one leg of each vertex (Khuller, Raghavachari &
+  Rosenfeld, "Landmarks in graphs", 1996; Chartrand, Eroh, Johnson &
+  Oellermann, "Resolvability in graphs and the metric dimension of a
+  graph", 2000);
 - the n - k vertices outside a resolving set of size k have distinct vectors
   in {1..D}^k, so n <= D^k + k for a graph of diameter D (Khuller,
   Raghavachari & Rosenfeld, "Landmarks in graphs", 1996).
@@ -32,7 +39,7 @@ resolving candidate it finds gives the dimension, and when it finds none the
 dimension is s.  The sweep does this with each class's closed-form basis, so
 a theta graph of dimension 2 needs no candidate test at all: a search below
 size 2 of a graph that is not a path returns at once, before it groups the
-twins.
+twins and legs.
 
 The metric dimension of every theta graph is 2 or 3, so the search is small
 there; on other graphs a size level k can test C(n, k) candidates.  The
@@ -162,20 +169,43 @@ def _check_level_cost(k: int, n: int) -> None:
             )
 
 
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """Twin classes of two or more vertices: groups with equal open
-    neighbourhoods N(v) (false twins) or equal closed ones N[v] (true twins).
+def _groups(g: Graph) -> tuple[list[tuple[list[int], int]], list[tuple[list[int], int]]]:
+    """The twin classes of two or more vertices, and the legs of each vertex
+    with two or more legs, in one pass over the vertices.  Each group is a
+    pair: the vertices it holds, and its count of parts, which is the number
+    of twins in a class or of legs in a leg group.
 
-    No open neighbourhood equals a closed one (N(u) = N[v] would put u in
-    N(u)), and no vertex has both a false and a true twin, so the two
-    groupings share one dict and the classes are disjoint.
+    Twins have equal open neighbourhoods N(v) (false twins) or equal closed
+    ones N[v] (true twins).  The two groupings share one dict, open ones
+    keyed by the sorted neighbour tuple and closed ones by a frozenset, which
+    no tuple equals.  No vertex has both a false and a true twin, so the
+    classes are disjoint.  A leaf has a true twin only in the path of two
+    vertices, whose search starts at size 1 all the same, so a leaf is not
+    grouped by N[v].
+
+    A leg of a vertex v of degree 3 or more is a path of degree-2 vertices
+    that hangs off v and ends in a leaf.  Only a leaf starts a walk, and
+    each walk reads its own leg, so the legs cost O(n) in all.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    adj = g.adjacency
+    twins: dict[tuple[int, ...] | frozenset[int], list[int]] = {}
+    legs: dict[int, list[list[int]]] = {}
     for v in range(1, g.n + 1):
-        nbrs = g.adjacency[v]
-        groups.setdefault(nbrs, []).append(v)
-        groups.setdefault(tuple(sorted((*nbrs, v))), []).append(v)
-    return [group for group in groups.values() if len(group) > 1]
+        nbrs = adj[v]
+        twins.setdefault(nbrs, []).append(v)
+        if len(nbrs) != 1:
+            twins.setdefault(frozenset((v, *nbrs)), []).append(v)
+            continue
+        leg = [v]
+        prev, foot = v, nbrs[0]
+        while len(adj[foot]) == 2:
+            leg.append(foot)
+            a, b = adj[foot]
+            prev, foot = foot, (b if a == prev else a)
+        if len(adj[foot]) > 2:  # not the far end of a path
+            legs.setdefault(foot, []).append(leg)
+    classes = [(T, len(T)) for T in twins.values() if len(T) > 1]
+    return classes, [(list(itertools.chain.from_iterable(L)), len(L)) for L in legs.values() if len(L) > 1]
 
 
 def metric_dimension_oracle(g: Graph) -> BasisResult:
@@ -191,6 +221,15 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
       that leave out two vertices of one class, since every resolving set
       holds all but at most one vertex of each twin class (Hernando et al.
       2010);
+    - sizes below the sum of legs(v) - 1 over the vertices v, and candidates
+      that hold fewer than legs(v) - 1 vertices on the legs of some v, since
+      every resolving set has a vertex on all but at most one leg of each
+      vertex (Khuller et al. 1996; Chartrand, Eroh, Johnson & Oellermann
+      2000).  A leg is a path of degree-2 vertices that hangs off a vertex
+      of degree 3 or more and ends in a leaf.  The first size is the larger
+      of the two sums, since a vertex's leaves are both twins and legs;
+      counting the vertices a candidate holds on the legs, not the legs it
+      hits, skips a few fewer candidates for the same cost as the twin test;
     - sizes k with D^k + k < n, since a graph of diameter D with a resolving
       set of size k has at most D^k + k vertices (Khuller, Raghavachari &
       Rosenfeld 1996).  At size 1 this says that only a path (D = n - 1)
@@ -224,7 +263,8 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     a size of ``below`` or more.  It starts at size 1 on a path and at size
     2 on any other graph; when ``below`` is at most that start, it returns
     None having read only row 1, to check that the graph is connected, and
-    before it groups the twins.  With ``below = n + 1`` it is the oracle.
+    before it groups the twins and legs.  With ``below = n + 1`` it is the
+    oracle.
     """
     n = g.n
     if not g.is_connected():
@@ -239,26 +279,37 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     ecc_1 = max(row_of(1))
     diameter = n - 1 if path else None
     rows = None  # every vertex's row, once D is needed or a size has no witness
-    classes = _twin_classes(g)
-    first = max(start, sum(len(T) - 1 for T in classes))
+    classes, legs = _groups(g)
+    # Each bound holds alone, but a vertex's leaves are both a twin class and
+    # its legs, so the two sums may count the same vertices and do not add.
+    first = max(start, sum(parts - 1 for _, parts in classes), sum(parts - 1 for _, parts in legs))
     if first >= below:
         return None
-    # The weights below take bits in the square of the class count C, so the
-    # first level is checked before they are built.  It holds at least C of
-    # the n >= 2C vertices and leaves out at least C, so it costs at least
-    # C(2C, C) * 2C, and only a graph of at most 12 classes passes.
+    # The weights below take bits in the square of the group count C, so the
+    # first level is checked before they are built.  Twin classes are
+    # disjoint, as are leg groups, and each group needs a vertex, so the level
+    # is at least C/2.  It is at most n - C: each group has one part more than
+    # it needs, and each vertex with legs, never a twin nor on a leg, makes up
+    # for the one twin class its leaves may share with its legs.  So it costs
+    # at least C(3C/2, C/2) * 3C/2, and only a graph of at most 16 groups
+    # passes.
     _check_level_cost(first, n)
-    # Vertex v of the i-th twin class weighs 2^(width*i), so the vertices a
-    # candidate leaves out weigh their count per class, each in a digit of its
-    # own (width bits hold any count up to n).  A digit above 1 means two
-    # omitted twins, which no resolving set has.
+    # Group i, a twin class or the legs of one vertex, has a digit of
+    # width + 1 bits at 2^((width+1)*i) in ``total``; width bits hold any
+    # count up to n.  The digit starts at 2^width + parts - 2, for a group of
+    # that many twins or legs, and each vertex a candidate takes from the
+    # group subtracts 1, so its top bit stays set exactly when the candidate
+    # takes at most parts - 2 vertices of the group, which no resolving set
+    # does.  A vertex on a leg whose foot's leaves are twins counts in both.
     width = n.bit_length()
     weights = [0] * n
-    for i, T in enumerate(classes):
-        for v in T:
-            weights[v - 1] = 1 << width * i
-    total = sum(weights)
-    two_or_more = sum(((1 << width) - 2) << width * i for i in range(len(classes)))
+    total = too_few = 0
+    for i, (members, parts) in enumerate(classes + legs):
+        one = 1 << (width + 1) * i
+        for v in members:
+            weights[v - 1] += one
+        total += ((1 << width) + parts - 2) * one
+        too_few += one << width
     vertices = range(1, n + 1)
     for k in range(first, below):
         _check_level_cost(k, n)
@@ -271,12 +322,12 @@ def _search(g: Graph, below: int) -> BasisResult | None:
         # The enumerations run in the same lexicographic order, so each
         # candidate set arrives with its weights, and with its rows once the
         # search holds every row.  Until then a candidate reads its rows
-        # through the memo only when the twin filter lets it be tested.
+        # through the memo only when the group filter lets it be tested.
         cand_rows = itertools.repeat(None) if rows is None else itertools.combinations(rows, k)
         for cand, landmark_rows, cand_weights in zip(
             itertools.combinations(vertices, k), cand_rows, itertools.combinations(weights, k)
         ):
-            if (total - sum(cand_weights)) & two_or_more:
+            if (total - sum(cand_weights)) & too_few:
                 continue
             if _resolves(landmark_rows or map(row_of, cand), n):
                 return BasisResult(dimension=k, witness=cand)

@@ -173,6 +173,32 @@ def test_landmarks_non_utf8_file_exit_two(tmp_path, capsys):
     assert err.startswith("error:") and "UTF-8" in err
 
 
+def _padded_network(size):
+    """A two-node network text of exactly ``size`` bytes, padded by a comment."""
+    head = "node a\nnode b\nlink a b\n#"
+    return head + "x" * (size - len(head) - 1) + "\n"
+
+
+def test_landmarks_parses_a_file_at_the_size_limit(tmp_path, capsys):
+    net = tmp_path / "limit.net"
+    net.write_text(_padded_network(cli.MAX_NETWORK_BYTES))
+    assert net.stat().st_size == cli.MAX_NETWORK_BYTES
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, err) == (0, "")
+    assert out == "method\toracle\nlandmarks\ta\na\t0\nb\t1\n"
+
+
+def test_landmarks_refuses_a_file_over_the_size_limit_unparsed(tmp_path, capsys, monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parsed {len(text)} characters")
+    monkeypatch.setattr(cli, "parse_network", refuse)
+    net = tmp_path / "over.net"
+    net.write_text(_padded_network(cli.MAX_NETWORK_BYTES + 1))
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, out) == (1, "")
+    assert err == f"error: network file {net} exceeds the size limit {cli.MAX_NETWORK_BYTES} bytes\n"
+
+
 # two spellings of each node name: the node line uses the first, links either
 _FUZZ_SPELLINGS = [("a", "'a'"), ("'c d'", '"c d"'), ('"e\\"f"', "'e\"f'"), ("g\\ h", "'g h'"),
                    ("'#'", "\\#"), ("i#j", "i")]

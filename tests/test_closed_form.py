@@ -15,6 +15,7 @@ from thetadim import (
     formula_representation,
     is_resolving,
     representation,
+    sweep,
     valid_triples,
 )
 from thetadim import closed_form
@@ -204,6 +205,72 @@ def test_formula_divergence_on_dominant_outer_middle_cells():
         7: ((2, 2), (2, 3)),
         8: ((3, 1), (3, 2)),
     }
+
+
+def t3_p1_triples(max_n):
+    """The distinct T3-P1 triples in dispatch labelling with n <= max_n."""
+    dispatched = map(closed_form._dispatch, *zip(*valid_triples(max_n)))
+    return sorted({triple for tag, triple, _ in dispatched if tag == "T3-P1"})
+
+
+def t3_p1_boundary(p, q, r, corrected):
+    """Cells 2 and 3 of T3-P1, ``(lo, hi, formula)``.  The literal table
+    writes both bounds with ceil((p-q)/2); the corrected ones take
+    floor((p-q)/2), as T3-P2 and T4-P3b do.  The formulas stay literal."""
+    _, cells = closed_form._case("T3-P1", p, q, r)
+    if not corrected:
+        return cells[1:3]
+    m, k = (p + q) // 2, (p - q) // 2
+    return [(m + 1, p - k, cells[1][2]), (p + 1 - k, p, cells[2][2])]
+
+
+def test_t3_p1_literal_cell_2_is_empty():
+    # p - ceil((p-q)/2) = floor((p+q)/2) = m, so cell 2 runs from m + 1 to m
+    # and cell 3 takes every vertex from m + 1 to p.
+    triples = t3_p1_triples(40)
+    assert len(triples) == 1359
+    for p, q, r in triples:
+        (lo2, hi2, _), (lo3, hi3, _) = t3_p1_boundary(p, q, r, corrected=False)
+        m = (p + q) // 2
+        assert (lo2, hi2, lo3, hi3) == (m + 1, m, m + 1, p), (p, q, r)
+
+
+@pytest.mark.parametrize("max_n", [32, pytest.param(60, marks=pytest.mark.slow)])
+def test_t3_p1_corrected_cells_2_and_3_agree_with_bfs(max_n):
+    for p, q, r in t3_p1_triples(max_n):
+        g = build_c(p, q, r)
+        rows = [g.distance_row(w) for w in closed_form._case("T3-P1", p, q, r)[0]]
+        covered = []
+        for lo, hi, fn in t3_p1_boundary(p, q, r, corrected=True):
+            for a in range(lo, hi + 1):
+                assert fn(a) == tuple(row[a - 1] for row in rows), (p, q, r, a)
+                covered.append(a)
+        assert covered == list(range((p + q) // 2 + 1, p + 1)), (p, q, r)
+
+
+def test_t3_p1_cell_3_mismatches_are_the_vertices_the_correction_moves():
+    # With p + q odd the corrected cell 2 is {m + 1}; the literal cell 3
+    # claims p + q + 1 - A = m + 1 there as the first coordinate, one more
+    # than the distance m to vertex 1.
+    # Vertices are compared in dispatch labelling, per sweep record.
+    in_cell_3, moved = set(), set()
+    for record in sweep(32).records:
+        if record.case != "T3-P1":
+            continue
+        triple = (record.p, record.q, record.r)
+        p, q, r = triple[::-1] if record.swapped else triple
+        literal, corrected = (
+            {a for lo, hi, _ in t3_p1_boundary(p, q, r, fixed)[:1] for a in range(lo, hi + 1)}
+            for fixed in (False, True)
+        )
+        moved |= {(triple, a) for a in corrected - literal}
+        _, (lo3, hi3, _) = t3_p1_boundary(p, q, r, corrected=False)
+        for entry in record.table_mismatches:
+            a = _swap(*triple, entry.vertex) if record.swapped else entry.vertex
+            if lo3 <= a <= hi3:
+                in_cell_3.add((triple, a))
+    assert in_cell_3 == moved
+    assert len(moved) == 652
 
 
 def test_formula_representation_for_swapped_dispatch():

@@ -350,6 +350,56 @@ def test_oracle_matches_sorting_oracle_on_graphs_with_twins(g):
     assert metric_dimension_oracle(g) == sorting_oracle(g)
 
 
+def spider(legs, length):
+    """A centre, vertex 1, with ``legs`` paths of ``length`` vertices each
+    hung off it; leg i runs outward from vertex 2 + i * length."""
+    edges = []
+    for i in range(legs):
+        chain = range(2 + i * length, 2 + (i + 1) * length)
+        edges += zip((1, *chain), chain)
+    return new_graph(1 + legs * length, edges)
+
+
+@st.composite
+def leg_heavy_graphs(draw, max_n: int = 12):
+    """Spiders, caterpillars and trees with extra chords: a small connected
+    core with paths hung off any of its vertices or of the paths hung
+    before, each ending in a new leaf, plus up to two chords anywhere."""
+    core = draw(connected_graphs(max_n=4))
+    n, edges = core.n, sorted(core.edges)
+    for _ in range(draw(st.integers(1, 6))):
+        length = draw(st.integers(1, 3))
+        if n + length > max_n:
+            break
+        chain = range(n + 1, n + length + 1)
+        edges += zip((draw(st.integers(1, n)), *chain), chain)
+        n += length
+    rest = [pair for pair in itertools.combinations(range(1, n + 1), 2) if pair not in edges]
+    edges += draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
+    return new_graph(n, edges)
+
+
+def test_oracle_matches_sorting_oracle_on_spiders_and_caterpillars():
+    graphs = [spider(legs, length) for legs in range(1, 5) for length in range(1, 4)]
+    # caterpillars: a spine of four vertices whose first and third carry one
+    # to three pendant leaves each
+    for leaves in itertools.product(range(1, 4), repeat=2):
+        spine = [(i, i + 1) for i in range(1, 4)]
+        n = 4
+        for at, count in zip((1, 3), leaves):
+            spine += [(at, n + j) for j in range(1, count + 1)]
+            n += count
+        graphs.append(new_graph(n, spine))
+    for g in graphs:
+        assert metric_dimension_oracle(g) == sorting_oracle(g), sorted(g.edges)
+
+
+@given(leg_heavy_graphs())
+@settings(deadline=None, max_examples=100)
+def test_oracle_matches_sorting_oracle_on_leg_heavy_graphs(g):
+    assert metric_dimension_oracle(g) == sorting_oracle(g)
+
+
 @pytest.fixture
 def resolves_calls(monkeypatch):
     """The size of every candidate the oracle tests, in order."""
@@ -407,3 +457,17 @@ def test_oracle_reads_rows_without_the_matrix(no_matrix):
         metric_dimension_oracle(build_c(p, q, r))
     assert metric_dimension_oracle(petersen()).dimension == 3
     assert metric_dimension_oracle(complete_bipartite(5, 5)).dimension == 8
+
+
+def test_leg_filter_tests_only_size_m_minus_1_on_spiders(resolves_calls):
+    # A spider of m legs has dimension m - 1: a vertex on all legs but one.
+    # The leg bound starts the search there, and the leg filter skips every
+    # candidate with fewer than m - 1 vertices on the legs.
+    for (legs, length), tested, witness in (
+        ((4, 3), 22, (2, 5, 8)),
+        ((5, 2), 36, (2, 4, 6, 8)),
+        ((6, 3), 1181, (2, 5, 8, 11, 14)),
+    ):
+        resolves_calls.clear()
+        assert metric_dimension_oracle(spider(legs, length)) == BasisResult(legs - 1, witness)
+        assert resolves_calls == [legs - 1] * tested, (legs, length)
