@@ -4,6 +4,12 @@ The library builds ``C_{p,q,r}`` theta graphs, computes metric dimensions
 and bases both by an exhaustive definitional oracle and by closed-form case
 formulas, verifies the two against each other across parameter sweeps, and
 assigns landmark codes to named networks.
+
+The network names (``parse_network``, ``assign_landmarks`` and the rest of
+``thetadim.network``) load on first use, so a program that never reads a
+network does not import the parser; each one is then stored in the package
+namespace like an eager export.  Every other export is imported with the
+package.
 """
 
 from .closed_form import (
@@ -21,16 +27,6 @@ from .graphs import (
     all_pairs,
     bfs_distances,
     new_graph,
-)
-from .network import (
-    LandmarkTable,
-    NetworkParseError,
-    NetworkSpec,
-    assign_landmarks,
-    field_network_text,
-    format_network,
-    network_graph,
-    parse_network,
 )
 from .resolve import (
     BasisResult,
@@ -62,6 +58,18 @@ from .theta import (
 )
 
 __version__ = "1.0.0"
+
+#: Exports of ``thetadim.network``, imported by ``__getattr__`` on first access.
+_NETWORK_NAMES = frozenset({
+    "LandmarkTable",
+    "NetworkParseError",
+    "NetworkSpec",
+    "assign_landmarks",
+    "field_network_text",
+    "format_network",
+    "network_graph",
+    "parse_network",
+})
 
 __all__ = [
     "UNREACHABLE",
@@ -107,3 +115,18 @@ __all__ = [
     "valid_triples",
     "validate_params",
 ]
+
+
+def __getattr__(name: str):
+    """A network export, imported on first access and kept in the package
+    namespace, so later lookups do not come here (PEP 562)."""
+    if name not in _NETWORK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import network
+
+    value = globals()[name] = getattr(network, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

@@ -19,12 +19,12 @@ golden-file tests.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import sys
 
 from .closed_form import closed_form_basis
 from .graphs import Graph
-from .network import NetworkParseError, assign_landmarks, parse_network
 from .resolve import is_minimal_resolving, metric_dimension_oracle, unresolved_pair
 from .sweep import emit_report, sweep
 from .theta import build_c
@@ -161,9 +161,17 @@ def _cmd_landmarks(args) -> int:
     try:
         text = data.decode("utf-8-sig")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
-        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
+        # The decoder counts from after the byte-order mark; the message gives the file offset.
+        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {offset})", file=sys.stderr)
         return 2
-    spec = parse_network(text)
+    from .network import NetworkParseError, assign_landmarks, parse_network  # only this command parses a network
+
+    try:
+        spec = parse_network(text)
+    except NetworkParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     table = assign_landmarks(spec)
     print("method", table.method, sep="\t")
     print("landmarks", *table.landmarks, sep="\t")
@@ -190,9 +198,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _HANDLERS[args.command](args)
-    except NetworkParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

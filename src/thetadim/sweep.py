@@ -50,23 +50,21 @@ records.  The JSON text is the standard library's with a two-space indent,
 written by a fixed layout built from the report dataclasses.  Per-record
 wall-clock times are kept in memory for diagnostics but excluded from both
 serialization and equality, so identical ranges produce byte-identical
-reports.
+reports.  The standard library's ``json``, ``csv`` and ``io`` are imported
+by the code that writes or reads a report, so importing the package does
+not load them.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
-import json
 import operator
 import time
 import types
 import typing
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
-from json.encoder import encode_basestring_ascii
 
 from .closed_form import _closed_form, _Tables
 from .graphs import Graph
@@ -302,6 +300,8 @@ def _writer(hint, depth: int) -> Callable[[object], str]:
     ``_report_fields``; ``X | None`` is ``X`` or ``null``.  Strings are
     escaped by the standard library's encoder, as ``json.dumps`` does.
     """
+    from json.encoder import encode_basestring_ascii
+
     inner = "\n" + "  " * (depth + 1)
     close = "\n" + "  " * depth
     if is_dataclass(hint):
@@ -371,6 +371,8 @@ _CSV_CELLS: tuple[Callable[[SweepRecord], object], ...] = tuple(
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
     """Serialize a report with stable field ordering (no timing data)."""
     if fmt == "json":
+        from json.encoder import encode_basestring_ascii
+
         # The text the standard library's encoder writes for the object
         # {schema, max_n, filters, summary, records} with a two-space indent,
         # without its pure-Python encoder, the only one that indents.
@@ -381,6 +383,9 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
             f'  "records": {_writer(tuple[SweepRecord, ...], 1)(report.records)}\n}}\n'
         )
     if fmt == "csv":
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
@@ -447,6 +452,8 @@ def parse_report(text: str) -> SweepReport:
     """Rebuild a report from its JSON serialization (the round-trip inverse);
     raises ``ValueError`` on any other text, including a report whose summary
     does not tally with its records."""
+    import json
+
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")

@@ -29,10 +29,24 @@ def test_benchmark_smoke_run_is_correct(workload):
     smoke_run(workload)
 
 
+def traced_smoke_run(workload):
+    """The result line of a traced smoke run, which must report each per-layer
+    metric the benchmark declares."""
+    result = smoke_run(workload, "--trace", "1")
+    declared = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    assert sorted(result["metrics"]) == sorted(declared)
+    return result
+
+
 def test_traced_sweep_smoke_run_reports_every_layer():
     # The sweep settles most class dimensions without the public oracle, so
     # its oracle spans may read 0; the traced path must still run, check its
     # outputs and report each per-layer metric the benchmark declares.
-    result = smoke_run("sweep-n24", "--trace", "1")
-    declared = [metric["name"] for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
-    assert sorted(result["metrics"]) == sorted(declared)
+    traced_smoke_run("sweep-n24")
+
+
+def test_traced_landmarks_smoke_run_times_the_network_parser():
+    # The package loads thetadim.network on first use; the tracer must still
+    # wrap parse_network, so its span has time in it.
+    result = traced_smoke_run("landmarks-theta")
+    assert result["metrics"]["network.parse_network.self_s"]["value"] > 0

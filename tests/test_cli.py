@@ -170,7 +170,15 @@ def test_landmarks_non_utf8_file_exit_two(tmp_path, capsys):
     net.write_bytes(b'node "F\xff"\n')
     code, out, err = run(capsys, "landmarks", str(net))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "UTF-8" in err
+    assert err == f"error: {net}: not UTF-8 text (invalid start byte at byte 7)\n"
+
+
+def test_landmarks_non_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    net = tmp_path / "bom.net"
+    net.write_bytes(b"\xef\xbb\xbfnode a\n\xff")
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, out) == (2, "")
+    assert err == f"error: {net}: not UTF-8 text (invalid start byte at byte 10)\n"
 
 
 def _padded_network(size):
@@ -191,7 +199,7 @@ def test_landmarks_parses_a_file_at_the_size_limit(tmp_path, capsys):
 def test_landmarks_refuses_a_file_over_the_size_limit_unparsed(tmp_path, capsys, monkeypatch):
     def refuse(text):
         raise AssertionError(f"parsed {len(text)} characters")
-    monkeypatch.setattr(cli, "parse_network", refuse)
+    monkeypatch.setattr("thetadim.network.parse_network", refuse)
     net = tmp_path / "over.net"
     net.write_text(_padded_network(cli.MAX_NETWORK_BYTES + 1))
     code, out, err = run(capsys, "landmarks", str(net))
@@ -264,6 +272,24 @@ def test_cli_start_up_imports_only_the_standard_library():
     )
     proc = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_start_up_loads_neither_the_network_parser_nor_the_report_writers():
+    # Only `landmarks` parses a network and only `sweep` writes a report, so
+    # importing the CLI leaves their modules unloaded until a command needs them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    check = (
+        "import sys; import thetadim.cli\n"
+        "eager = sorted({'thetadim.network', 'json', 'csv'} & set(sys.modules))\n"
+        "assert not eager, eager\n"
+        "assert thetadim.cli.main(['landmarks', sys.argv[1]]) == 0\n"
+        "assert 'thetadim.network' in sys.modules\n"
+    )
+    field = src / "thetadim" / "data" / "field_network.txt"
+    proc = subprocess.run([sys.executable, "-c", check, str(field)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("method\tclosed-form (T3-P1)\n")
 
 
 @pytest.fixture
