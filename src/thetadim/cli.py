@@ -37,10 +37,10 @@ MAX_ORDER = 2000
 #: class (1,942 classes for the 10,545 triples with n <= 40) and settles its
 #: dimension once, by the oracle's search below the class's resolving
 #: closed-form basis, so a class of dimension 2 tests no candidate; it
-#: checks each class landmark set once and evaluates each case table once per
-#: mirror pair.  Its cost grows as about n^4: ``sweep --max-n 40`` with the
-#: JSON report takes about 1.1-1.2 s at a 43 MB peak RSS (2-CPU x86-64 host,
-#: CPython 3.11).
+#: checks each class landmark set once, and checks one triple of each mirror
+#: pair, deriving the other's record by the swap.  Its cost grows as about
+#: n^4: ``sweep --max-n 40`` with the JSON report takes about 0.7-0.8 s at a
+#: 42 MB peak RSS (2-CPU x86-64 host, CPython 3.11, no bytecode cached).
 MAX_SWEEP_N = 40
 
 #: Largest network file ``landmarks`` reads, in bytes.  Parsing and coding a

@@ -317,10 +317,6 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
 
 _Claims = tuple[tuple[int, ...] | str, ...]
 
-#: A case table in dispatch labelling, keyed by ``(tag, p, q, r)``: its
-#: landmarks in coordinate order and its evaluated claims.
-_Tables = dict[tuple[str, int, int, int], tuple[tuple[int, ...], _Claims]]
-
 
 def _evaluate(cells: list[_Cell], n: int) -> _Claims:
     """The claim of each vertex 1..n of a case's cells, in its labelling."""
@@ -332,39 +328,28 @@ def _evaluate(cells: list[_Cell], n: int) -> _Claims:
     return tuple(entries)
 
 
-def _closed_form(
-    p: int, q: int, r: int, tables: _Tables | None = None
-) -> tuple[ClosedFormResult, Callable[[], _Claims]]:
+def _closed_form(p: int, q: int, r: int) -> tuple[ClosedFormResult, Callable[[], _Claims]]:
     """The result of :func:`closed_form_basis`, and a call that evaluates its
     case table into :func:`formula_representation`, from one dispatch.
 
-    Without ``tables`` no cell formula is evaluated until the second value
-    is called.  With ``tables``, the case table of the dispatch triple is
-    read from it, or evaluated at once and stored there on a miss, so a
-    triple and its mirror ``(r, q, p)``, which dispatch to the same table,
-    evaluate it once between them.
+    No cell formula is evaluated until the second value is called.  A
+    triple and its mirror ``(r, q, p)`` dispatch to the same table; the
+    sweep evaluates it for one of them and derives the other's record by the
+    swap, so nothing here keeps a table between calls.
     """
     tag, (pp, qq, rr), swapped = _dispatch(p, q, r)
-    key = (tag, pp, qq, rr)
-    if tables is not None and key in tables:
-        landmarks, table = tables[key]
-    else:
-        landmarks, cells = _case(tag, pp, qq, rr)
-        if tag == "T4-P3a" and pp == 1:
-            # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
-            # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
-            # there, while the cells keep the generic landmark and so diverge.
-            landmarks = (1, pp + 1)
-        table = None
-        if tables is not None:
-            table = _evaluate(cells, p + q + r)
-            tables[key] = landmarks, table
+    landmarks, cells = _case(tag, pp, qq, rr)
+    if tag == "T4-P3a" and pp == 1:
+        # C_{1,2,1} is the one triple where v_floor((p+q)/2) collapses onto
+        # v_1; the hub v_{p+1} is the size-2 completion that stays resolving
+        # there, while the cells keep the generic landmark and so diverge.
+        landmarks = (1, pp + 1)
     if swapped:
         # the swap of C_{r,q,p} is the inverse of the swap of C_{p,q,r}
         landmarks = tuple(_swap(r, q, p, w) for w in landmarks)
 
     def claims() -> _Claims:
-        entries = _evaluate(cells, p + q + r) if table is None else table
+        entries = _evaluate(cells, p + q + r)
         if swapped:
             # vertex v reads the claim of _swap(p, q, r, v): the first p
             # vertices of C_{p,q,r} read the last p entries of C_{r,q,p}, the

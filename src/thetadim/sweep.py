@@ -36,13 +36,17 @@ later triple of the class with the same images reads them.  A triple reads
 its own BFS vectors as five slices of the class landmark set's vectors, one
 per run; they are exactly the BFS vectors of the triple's own graph.
 
-A triple and its mirror ``(r, q, p)`` dispatch to one case table, in one
-labelling, so the sweep evaluates each table once per mirror pair, on the
-pair's first triple, and the other triple reads the claims in its own
-labels as three slices of it.  The table diff runs per triple, in the
-triple's own labelling: it compares the triple's claims with its BFS
-vectors as two whole tuples, and goes vertex by vertex only when they
-differ, to name the vertices that do.
+A triple and its mirror ``(r, q, p)`` are one graph under the swap of the
+outer paths (``theta._swap``), and they dispatch to one case table in one
+labelling.  So the sweep checks only the first triple of each mirror pair,
+the one with p < r, and derives the mirror's record from it: p and r trade
+places, ``swapped`` flips, the basis and every mismatch's vertex are mapped
+by the swap and sorted again, and everything else is kept.  A triple with
+p = r is its own mirror and is checked.  The check runs in the triple's own
+labelling: the table diff compares its claims with its BFS vectors as two
+whole tuples, and goes vertex by vertex only when they differ, to name the
+vertices that do.  ``check_triple`` checks one triple directly, and the
+sweep's records are tested against it.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
@@ -64,12 +68,12 @@ import time
 import types
 import typing
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .closed_form import _closed_form, _Tables
+from .closed_form import _closed_form
 from .graphs import Graph
 from .resolve import _minimal, _resolves, _search, _valid_landmarks
-from .theta import _class_labels, build_c, validate_params
+from .theta import _class_labels, _swap, build_c, validate_params
 
 SCHEMA = "thetadim-sweep/1"
 
@@ -97,8 +101,8 @@ class SweepRecord:
     search that settles the dimension, which later triples of the class
     reuse.  The first triple of a class landmark set pays for its BFS rows
     and its resolution and minimality checks, which later triples with the
-    same set reuse.  The first triple of a mirror pair in a sweep also pays
-    for evaluating the case table, which its mirror reads.
+    same set reuse.  The mirror ``(r, q, p)``, p > r, of a checked triple
+    pays only for deriving its record from that triple's by the swap.
     """
 
     p: int
@@ -158,11 +162,13 @@ def valid_triples(max_n: int) -> Iterator[tuple[int, int, int]]:
 
 
 def check_triple(p: int, q: int, r: int) -> SweepRecord:
-    """Run every closed-form-vs-oracle check for one triple.
+    """Run every closed-form-vs-oracle check for one triple, in its own
+    labels, sharing nothing with other calls.
 
     The oracle dimension is settled on every call, as a sweep settles it for
     a class: by the oracle's search below the closed-form basis when that
-    basis resolves, by the full oracle when it does not.
+    basis resolves, by the full oracle when it does not.  Every record of
+    :func:`sweep`, checked or derived from its mirror's, equals this one.
     """
     return _check(p, q, r, {})
 
@@ -176,11 +182,11 @@ _LandmarkSets = dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], bool, b
 _Classes = dict[tuple[int, int, int], tuple[Graph, int, _LandmarkSets]]
 
 
-def _check(p: int, q: int, r: int, classes: _Classes, tables: _Tables | None = None) -> SweepRecord:
+def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
     """``check_triple``, reading the class graph, the class dimension and
     the verdicts of the class landmark sets from ``classes``, keyed by class
-    triple, and storing them there on a miss, and the evaluated case table
-    from ``tables`` when given (see :func:`closed_form._closed_form`).
+    triple, and storing them there on a miss.  The case table is evaluated
+    here, in the triple's own labels, on every call.
 
     A class landmark set is the tuple of the closed-form landmarks' images
     in the class graph, in coordinate order.  Its BFS vectors, read once in
@@ -192,7 +198,7 @@ def _check(p: int, q: int, r: int, classes: _Classes, tables: _Tables | None = N
     tuples, walking the vertices only when the tuples differ.
     """
     start = time.perf_counter()
-    result, claims = _closed_form(p, q, r, tables)
+    result, claims = _closed_form(p, q, r)
     key, (a, hub_a, m, hub_b, c) = _class_labels(p, q, r)
     n = p + q + r
     # The 1-based image in the class graph of each landmark: the offset of
@@ -251,23 +257,55 @@ def _check(p: int, q: int, r: int, classes: _Classes, tables: _Tables | None = N
     )
 
 
+def _mirror(record: SweepRecord) -> SweepRecord:
+    """The record of the mirror ``(r, q, p)`` of ``record``'s triple.
+
+    The swap ``theta._swap(p, q, r, ·)`` is an isomorphism from ``C_{p,q,r}``
+    onto ``C_{r,q,p}`` that carries the closed-form landmarks of the one,
+    in coordinate order, onto those of the other, since both come from one
+    case table.  So the case, both dimensions, ``basis_ok`` and
+    ``basis_minimal`` are kept; ``swapped`` flips; the basis and every
+    mismatch's vertex are mapped and sorted again; and each mismatch keeps
+    its claimed and BFS vectors, which its vertex has in both labellings.
+    """
+    start = time.perf_counter()
+    swap = functools.partial(_swap, record.p, record.q, record.r)
+    mismatches = sorted(
+        (TableMismatch(swap(m.vertex), m.formula, m.bfs, m.note) for m in record.table_mismatches),
+        key=operator.attrgetter("vertex"),
+    )
+    return replace(
+        record,
+        p=record.r,
+        r=record.p,
+        swapped=not record.swapped,
+        basis=tuple(sorted(map(swap, record.basis))),
+        table_mismatches=tuple(mismatches),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order.
 
     Each isomorphism class has one graph, built on its first triple, and one
     dimension, settled there; each class landmark set has one set of BFS
     vectors and one resolution and minimality verdict, settled on its first
-    triple.  Each mirror pair ``(p, q, r)``, ``(r, q, p)`` has one evaluated
-    case table, evaluated on its first triple.  A class's triples and a
-    mirror pair share n and come in order of n, so the sweep drops the class
-    graphs, their landmark sets and the tables of one n once it has passed
-    that n.
+    triple.  Of each mirror pair ``(p, q, r)``, ``(r, q, p)`` with p < r,
+    only ``(p, q, r)`` is checked, and it comes first; the record of
+    ``(r, q, p)`` is derived from its record by the swap.  A class's triples
+    and a mirror pair share n and come in order of n, so the sweep drops the
+    class graphs, their landmark sets and the records by triple of one n
+    once it has passed that n.
     """
     records: list[SweepRecord] = []
     for _, triples in itertools.groupby(valid_triples(max_n), key=sum):
         classes: _Classes = {}
-        tables: _Tables = {}
-        records.extend(_check(p, q, r, classes, tables) for p, q, r in triples)
+        # The records of one n by triple, in sweep order.
+        group: dict[tuple[int, int, int], SweepRecord] = {}
+        for p, q, r in triples:
+            group[p, q, r] = _mirror(group[r, q, p]) if p > r else _check(p, q, r, classes)
+        records.extend(group.values())
     return SweepReport(max_n=max_n, records=tuple(records))
 
 

@@ -59,12 +59,18 @@ def test_sweep_is_deterministic():
     assert a == b
 
 
-def test_records_are_reproducible():
-    report = sweep(7)
+@pytest.mark.parametrize("max_n", [7, 32, pytest.param(60, marks=pytest.mark.slow)])
+def test_records_are_reproducible(max_n):
+    # The sweep checks one triple of each mirror pair and derives the other's
+    # record by the swap; check_triple checks every triple directly, in its
+    # own labels.  Up to n = 7 each dimension is also the witness oracle's on
+    # the triple's own graph.  About 0.7 s at 32.
+    report = sweep(max_n)
     for rec in report.records:
         p, q, r = rec.p, rec.q, rec.r
-        assert check_triple(p, q, r) == rec
-        assert metric_dimension_oracle(build_c(p, q, r)).dimension == rec.oracle_dim
+        assert check_triple(p, q, r) == rec, (p, q, r)
+        if rec.n <= 7:
+            assert metric_dimension_oracle(build_c(p, q, r)).dimension == rec.oracle_dim
 
 
 def test_midrange_sweep_has_no_dimension_or_basis_failures():
@@ -159,8 +165,8 @@ def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
     # of the triple's own graph to the triple's closed-form landmarks.
     forms = sweep_module._closed_form
 
-    def uncovered(p, q, r, *tables):
-        result, _ = forms(p, q, r, *tables)
+    def uncovered(p, q, r):
+        result, _ = forms(p, q, r)
         return result, lambda: ("uncovered",) * (p + q + r)
 
     monkeypatch.setattr(sweep_module, "_closed_form", uncovered)
@@ -175,8 +181,9 @@ def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
 
 def test_sweep_checks_resolution_once_per_class_landmark_set(monkeypatch):
     # Resolution and minimality depend only on where the landmarks land in
-    # the class graph, so a sweep checks each class landmark set once; a
-    # second sweep checks every set again.
+    # the class graph, so a sweep checks each class landmark set of the
+    # triples it checks, those with p <= r, once; a second sweep checks every
+    # set again.
     checks = []
     resolves = sweep_module._resolves
 
@@ -187,10 +194,12 @@ def test_sweep_checks_resolution_once_per_class_landmark_set(monkeypatch):
     monkeypatch.setattr(sweep_module, "_resolves", counting)
     landmark_sets = set()
     for p, q, r in valid_triples(12):
+        if p > r:
+            continue
         key, labels = class_labels(p, q, r)
         landmarks = closed_form.closed_form_basis(p, q, r).landmarks
         landmark_sets.add((key, tuple(labels[w - 1] for w in landmarks)))
-    assert len(landmark_sets) == 121
+    assert len(landmark_sets) == 109
     sweep(12)
     assert len(checks) == len(landmark_sets)
     sweep(12)
@@ -230,18 +239,45 @@ def test_sweep_evaluates_each_case_table_once_per_sweep(monkeypatch):
     assert len(built) == 2 * len(tables)
 
 
-def with_landmarks(monkeypatch, triple, landmarks):
-    """Make the sweep's closed form give ``landmarks`` for ``triple``; its
-    dimension is their count, and every other triple is left as it is."""
-    closed_form = sweep_module._closed_form
+def test_sweep_checks_each_mirror_pair_once(monkeypatch):
+    # Of a triple and its mirror (r, q, p) the sweep checks the first and
+    # derives the other's record by the swap; a triple with p = r is its own
+    # mirror.  A second sweep checks every pair again.
+    checked = []
+    check = sweep_module._check
 
-    def patched(p, q, r, *tables):
-        result, claims = closed_form(p, q, r, *tables)
-        if (p, q, r) == triple:
-            result = dataclasses.replace(result, landmarks=landmarks)
+    def counting(p, q, r, classes):
+        checked.append((p, q, r))
+        return check(p, q, r, classes)
+
+    monkeypatch.setattr(sweep_module, "_check", counting)
+    pairs = {min((p, q, r), (r, q, p)) for p, q, r in valid_triples(12)}
+    assert len(pairs) == 140 and sum(p == r for p, _, r in pairs) == 25
+    assert len(sweep(12).records) == 255
+    assert sorted(checked) == sorted(pairs)
+    sweep(12)
+    assert len(checked) == 2 * len(pairs)
+
+
+def with_landmarks(monkeypatch, triple, landmarks):
+    """Make the sweep's closed form give ``landmarks`` for ``triple``, and
+    their swap images for its mirror ``(r, q, p)``; the dimension is their
+    count, and every other triple is left as it is."""
+    closed_form = sweep_module._closed_form
+    p, q, r = triple
+    patches = {triple: landmarks, (r, q, p): tuple(theta._swap(p, q, r, w) for w in landmarks)}
+
+    def patched(p, q, r):
+        result, claims = closed_form(p, q, r)
+        if (p, q, r) in patches:
+            result = dataclasses.replace(result, landmarks=patches[p, q, r])
         return result, claims
 
     monkeypatch.setattr(sweep_module, "_closed_form", patched)
+
+
+def record_of(report, triple):
+    return next(rec for rec in report.records if (rec.p, rec.q, rec.r) == triple)
 
 
 def test_a_basis_that_does_not_resolve_gets_the_full_oracle(monkeypatch):
@@ -249,37 +285,50 @@ def test_a_basis_that_does_not_resolve_gets_the_full_oracle(monkeypatch):
     # sweep's search for the class runs on it.  No pair resolves it; had the
     # pair bounded the search, the class would get dimension 2.
     assert metric_dimension_oracle(build_c(3, 5, 5)).dimension == 3
+    # Its mirror (5, 5, 3) gets the swap images of the pair, (1, 2), and the
+    # same verdicts.
     with_landmarks(monkeypatch, (3, 5, 5), (9, 10))
     report = sweep(13)
-    record = next(rec for rec in report.records if (rec.p, rec.q, rec.r) == (3, 5, 5))
+    record = record_of(report, (3, 5, 5))
     assert not record.basis_ok and not record.basis_minimal
     assert (record.formula_dim, record.oracle_dim) == (2, 3)
     assert check_triple(3, 5, 5) == record
-    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (1, 1)
+    mirror = record_of(report, (5, 5, 3))
+    assert mirror.basis == (1, 2) and not mirror.basis_ok
+    assert check_triple(5, 5, 3) == mirror
+    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (2, 2)
     assert assert_dimensions_are_the_oracles(report) > 1
 
 
 def test_the_landmark_memo_leaks_no_verdict(monkeypatch):
     # (3, 5, 5) is the first triple of its class at n = 13, which (3, 7, 3)
     # and (5, 5, 3) share.  Landmarks that do not resolve it change its own
-    # record alone: a later triple of the class reads only the verdict of
-    # its own landmarks' images.
-    plain = sweep(13).records
+    # record and the record derived from it for its mirror (5, 5, 3) alone:
+    # (3, 7, 3), checked later, reads only the verdict of its own landmarks'
+    # images.
+    plain = sweep(13)
     with_landmarks(monkeypatch, (3, 5, 5), (9, 10))
-    patched = sweep(13).records
-    assert [(a.p, a.q, a.r) for a, b in zip(plain, patched, strict=True) if a != b] == [(3, 5, 5)]
+    patched = sweep(13)
+    changed = [(a.p, a.q, a.r) for a, b in zip(plain.records, patched.records, strict=True) if a != b]
+    assert changed == [(3, 5, 5), (5, 5, 3)]
+    assert check_triple(5, 5, 3) == record_of(patched, (5, 5, 3))
 
 
 def test_a_resolving_basis_above_the_dimension_is_a_mismatch(monkeypatch):
     # (2, 5, 3) has dimension 2 and is the first triple of its class; three
     # landmarks that resolve it bound its search by 3, which finds size 2.
+    # Its mirror (3, 5, 2) gets the swap images, (9, 1, 3), and the same
+    # verdicts.
     with_landmarks(monkeypatch, (2, 5, 3), (1, 8, 10))
     report = sweep(10)
-    record = next(rec for rec in report.records if (rec.p, rec.q, rec.r) == (2, 5, 3))
+    record = record_of(report, (2, 5, 3))
     assert record.basis_ok and not record.basis_minimal
     assert (record.formula_dim, record.oracle_dim) == (3, 2)
     assert check_triple(2, 5, 3) == record
-    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (1, 0)
+    mirror = record_of(report, (3, 5, 2))
+    assert mirror.basis == (1, 3, 9) and mirror.basis_ok and not mirror.basis_minimal
+    assert check_triple(3, 5, 2) == mirror
+    assert (report.summary.dimension_mismatches, report.summary.basis_failures) == (2, 0)
     assert assert_dimensions_are_the_oracles(report) > 1
 
 
