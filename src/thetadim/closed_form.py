@@ -324,7 +324,7 @@ def _evaluate(cells: list[_Cell], n: int) -> _Claims:
     for lo, hi, fn in cells:
         for a in range(max(lo, 1), min(hi, n) + 1):
             claim, seen = fn(a), entries[a - 1]
-            entries[a - 1] = claim if seen in ("uncovered", claim) else "ambiguous"
+            entries[a - 1] = claim if seen == "uncovered" or seen == claim else "ambiguous"
     return tuple(entries)
 
 

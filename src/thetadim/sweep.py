@@ -32,20 +32,23 @@ read from its image in the class graph.  A class landmark set is the tuple
 of a triple's closed-form landmarks' images there, in coordinate order.
 The sweep reads its BFS rows from the class graph and settles its
 resolution and minimality once, on the first triple that lands on it; a
-later triple of the class with the same images reads them.  A triple reads
-its own BFS vectors as five slices of the class landmark set's vectors, one
-per run; they are exactly the BFS vectors of the triple's own graph.
+later triple of the class with the same images reads them.  Only a path has
+a resolving vertex (Chartrand, Eroh, Johnson & Oellermann 2000), so a
+resolving pair of landmarks is minimal without a further test; the
+minimality test runs on resolving sets of three.  A triple reads its own
+BFS vectors as five slices of the class landmark set's vectors, one per
+run; they are exactly the BFS vectors of the triple's own graph.
 
 A triple and its mirror ``(r, q, p)`` are one graph under the swap of the
 outer paths (``theta._swap``), and they dispatch to one case table in one
 labelling.  So the sweep checks only the first triple of each mirror pair,
-the one with p < r, and derives the mirror's record from it: p and r trade
-places, ``swapped`` flips, the basis and every mismatch's vertex are mapped
-by the swap and sorted again, and everything else is kept.  A triple with
-p = r is its own mirror and is checked.  The check runs in the triple's own
-labelling: the table diff compares its claims with its BFS vectors as two
-whole tuples, and goes vertex by vertex only when they differ, to name the
-vertices that do.  ``check_triple`` checks one triple directly, and the
+the one with p < r, and builds the mirror's record from its fields: p and r
+trade places, ``swapped`` flips, the basis and every mismatch's vertex are
+mapped by the swap and sorted again, and everything else is kept.  A triple
+with p = r is its own mirror and is checked.  The check runs in the triple's
+own labelling: the table diff compares its claims with its BFS vectors as
+two whole tuples, and goes vertex by vertex only when they differ, to name
+the vertices that do.  ``check_triple`` checks one triple directly, and the
 sweep's records are tested against it.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
@@ -68,7 +71,7 @@ import time
 import types
 import typing
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .closed_form import _closed_form
 from .graphs import Graph
@@ -100,9 +103,10 @@ class SweepRecord:
     isomorphism class in a sweep also pays for the class graph and for the
     search that settles the dimension, which later triples of the class
     reuse.  The first triple of a class landmark set pays for its BFS rows
-    and its resolution and minimality checks, which later triples with the
-    same set reuse.  The mirror ``(r, q, p)``, p > r, of a checked triple
-    pays only for deriving its record from that triple's by the swap.
+    and its resolution check, and for a resolving set of three landmarks
+    its minimality check, which later triples with the same set reuse.  The
+    mirror ``(r, q, p)``, p > r, of a checked triple pays only for building
+    its record from that triple's fields by the swap.
     """
 
     p: int
@@ -193,6 +197,8 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
     class labels, and its resolution and minimality are computed on its
     first triple and read by every later triple of the class with the same
     images: the renaming is an isomorphism, which keeps both verdicts.  A
+    resolving pair is minimal, since no theta graph is a path, so only a
+    resolving set of three landmarks is tested for minimality.  A
     triple reads its own BFS vectors as five slices of the class vectors,
     and the table diff compares them with the triple's claims as two whole
     tuples, walking the vertices only when the tuples differ.
@@ -217,7 +223,11 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
         # Neither resolution nor minimality depends on the landmark order.
         rows = list(map(g.distance_row, images))
         basis_ok = _resolves(rows, n)
-        verdict = landmark_sets[images] = tuple(zip(*rows)), basis_ok, basis_ok and _minimal(rows, n)
+        # Only a path has a resolving vertex (Chartrand, Eroh, Johnson &
+        # Oellermann 2000), and a class graph has n + 1 edges, so it is no
+        # path and a resolving pair is minimal without a further test.
+        basis_minimal = basis_ok and (len(rows) == 2 or _minimal(rows, n))
+        verdict = landmark_sets[images] = tuple(zip(*rows)), basis_ok, basis_minimal
     vectors, basis_ok, basis_minimal = verdict
     if oracle_dim is None:
         # A resolving basis of s landmarks bounds the dimension by s, so the
@@ -263,8 +273,9 @@ def _mirror(record: SweepRecord) -> SweepRecord:
     The swap ``theta._swap(p, q, r, ·)`` is an isomorphism from ``C_{p,q,r}``
     onto ``C_{r,q,p}`` that carries the closed-form landmarks of the one,
     in coordinate order, onto those of the other, since both come from one
-    case table.  So the case, both dimensions, ``basis_ok`` and
-    ``basis_minimal`` are kept; ``swapped`` flips; the basis and every
+    case table.  So the record is built field by field from ``record``:
+    the case, both dimensions, ``basis_ok`` and ``basis_minimal`` are kept;
+    p and r trade places and ``swapped`` flips; the basis and every
     mismatch's vertex are mapped and sorted again; and each mismatch keeps
     its claimed and BFS vectors, which its vertex has in both labellings.
     """
@@ -274,12 +285,18 @@ def _mirror(record: SweepRecord) -> SweepRecord:
         (TableMismatch(swap(m.vertex), m.formula, m.bfs, m.note) for m in record.table_mismatches),
         key=operator.attrgetter("vertex"),
     )
-    return replace(
-        record,
+    return SweepRecord(
         p=record.r,
+        q=record.q,
         r=record.p,
+        n=record.n,
+        case=record.case,
         swapped=not record.swapped,
+        formula_dim=record.formula_dim,
+        oracle_dim=record.oracle_dim,
         basis=tuple(sorted(map(swap, record.basis))),
+        basis_ok=record.basis_ok,
+        basis_minimal=record.basis_minimal,
         table_mismatches=tuple(mismatches),
         elapsed=time.perf_counter() - start,
     )

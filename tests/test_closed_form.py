@@ -159,9 +159,17 @@ def test_swapped_basis_pulls_back_through_inverse():
     assert sorted(_swap(2, 5, 3, v) for v in pulled) == sorted(direct)
 
 
-def test_partition_reports_overlap_as_lookup_error():
+def test_overlapping_cells_are_ambiguous_only_when_they_disagree():
     # the (2, 3, 0) table spills one cell beyond its path segment
     assert formula_representation(2, 3, 0)[2] == "ambiguous"
+    # In (2, 4, 0) two ZeroPath-P2 cells both claim (2, 3) for vertex 4,
+    # which is also its BFS vector: an agreeing overlap keeps the claim.
+    tag, params, swapped = closed_form._dispatch(2, 4, 0)
+    landmarks, cells = closed_form._case(tag, *params)
+    assert (tag, params, swapped) == ("ZeroPath-P2", (2, 4, 0), False)
+    assert [fn(4) for lo, hi, fn in cells if lo <= 4 <= hi] == [(2, 3), (2, 3)]
+    assert formula_representation(2, 4, 0)[3] == (2, 3)
+    assert representation(all_pairs(build_c(2, 4, 0)), 4, landmarks) == (2, 3)
 
 
 def test_formula_representation_examples():

@@ -6,7 +6,7 @@ import hashlib
 import importlib
 import io
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,6 +23,8 @@ from thetadim import (
     check_triple,
     closed_form,
     emit_report,
+    is_minimal_resolving,
+    is_resolving,
     metric_dimension_oracle,
     parse_report,
     sweep,
@@ -204,6 +206,42 @@ def test_sweep_checks_resolution_once_per_class_landmark_set(monkeypatch):
     assert len(checks) == len(landmark_sets)
     sweep(12)
     assert len(checks) == 2 * len(landmark_sets)
+
+
+def test_a_resolving_pair_of_landmarks_is_minimal():
+    # Only a path has a resolving vertex, and no theta graph is a path, so
+    # the sweep marks a resolving pair minimal without testing it; here the
+    # verdict is computed by dropping each landmark on the triple's graph.
+    pairs = [rec for rec in sweep(32).records if len(rec.basis) == 2 and rec.basis_ok]
+    assert len(pairs) == 5328
+    for rec in pairs:
+        assert rec.basis_minimal, (rec.p, rec.q, rec.r)
+        assert is_minimal_resolving(build_c(rec.p, rec.q, rec.r), rec.basis), (rec.p, rec.q, rec.r)
+
+
+def test_sweep_tests_minimality_of_resolving_three_landmark_sets_only(monkeypatch):
+    # A sweep tests the minimality of each resolving class landmark set of
+    # three landmarks once, and of no pair.
+    sizes = []
+    minimal = sweep_module._minimal
+
+    def counting(rows, n):
+        sizes.append(len(rows))
+        return minimal(rows, n)
+
+    monkeypatch.setattr(sweep_module, "_minimal", counting)
+    resolving = set()
+    for p, q, r in valid_triples(12):
+        if p > r:
+            continue
+        key, labels = class_labels(p, q, r)
+        images = tuple(labels[w - 1] + 1 for w in closed_form.closed_form_basis(p, q, r).landmarks)
+        if is_resolving(build_c(*key), images):
+            resolving.add((key, images))
+    by_size = Counter(len(images) for _, images in resolving)
+    assert by_size == {2: 102, 3: 7}
+    sweep(12)
+    assert sizes == [3] * by_size[3]
 
 
 def test_sweep_builds_one_graph_per_isomorphism_class(monkeypatch):
