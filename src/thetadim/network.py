@@ -128,22 +128,6 @@ def _word_decoder() -> Callable[[str], str]:
     return decode
 
 
-class _DecodedWords(dict[str, str]):
-    """Token text by raw word; looking up a missing word decodes it.
-
-    One parse keeps one, so a name is decoded on its node line and read back
-    on every link that uses it.
-    """
-
-    def __init__(self, decode: Callable[[str], str]):
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, word: str) -> str:
-        text = self[word] = self.decode(word)
-        return text
-
-
 @functools.cache
 def _line_splitter() -> Callable[[str], list[str]]:
     """The line tokenizer: ``split(line)`` gives the tokens of one line, as
@@ -209,24 +193,28 @@ def _accept(text: str) -> NetworkSpec | None:
     a whole by set and dict operations.  Nothing here names a fault; for a
     text refused here, ``_explain`` does.
     """
-    names = _DecodedWords(_word_decoder())
-    names[None] = None
     try:
-        # Three entries a line: a node line's name, a link line's two names,
-        # and None for each name the line does not have.
-        words = list(map(names.__getitem__, chain.from_iterable(
-            map(re.Match.groups, map(_line_matcher(), text.splitlines()))
-        )))
+        # Three raw words a line: a node line's name, a link line's two
+        # names, and None for each name the line does not have.
+        raw = list(chain.from_iterable(map(re.Match.groups, map(_line_matcher(), text.splitlines()))))
     except TypeError:  # groups() of None: a line the matcher refuses
         return None
+    # Each distinct raw word is decoded once, so a name is decoded on its
+    # node line and read back on every link that uses it.
+    distinct = dict.fromkeys(raw)
+    distinct.pop(None, None)
+    names = dict(zip(distinct, map(_word_decoder(), distinct)))
     if "" in names.values():  # an empty name
         return None
+    names[None] = None
+    words = list(map(names.__getitem__, raw))
     named, firsts, seconds = words[0::3], words[1::3], words[2::3]
     nodes = list(filter(None, named))
     # The index of the line that declares each node.
     declared = dict(zip(nodes, compress(count(), named)))
     a, b = list(filter(None, firsts)), list(filter(None, seconds))
-    linked = set(zip(a, b))
+    links = tuple(zip(a, b))
+    linked = set(links)
     undeclared = len(named)  # past every line, for a name no line declares
     if (
         len(declared) != len(nodes)  # a duplicate node
@@ -238,7 +226,7 @@ def _accept(text: str) -> NetworkSpec | None:
         or not linked.isdisjoint(zip(b, a))
     ):
         return None
-    return NetworkSpec(nodes=tuple(nodes), links=tuple(zip(a, b)))
+    return NetworkSpec(nodes=tuple(nodes), links=links)
 
 
 class _Declared:

@@ -53,8 +53,12 @@ sweep's records are tested against it.
 
 Reports serialize to JSON (schema ``thetadim-sweep/1``) and CSV, with the
 report dataclasses' fields as keys; a report's summary is derived from its
-records.  The JSON text is the standard library's with a two-space indent,
-written by a fixed layout built from the report dataclasses.  Per-record
+records.  The JSON text is the standard library's with a two-space indent.
+Each report dataclass has one JSON writer, a single f-string compiled on the
+first report from the class's fields, and each CSV row is written by one
+function compiled from the CSV columns, so both field lists keep one source.
+An array of ints is written once per distinct value and depth within one
+report; no text is kept from one report to the next.  Per-record
 wall-clock times are kept in memory for diagnostics but excluded from both
 serialization and equality, so identical ranges produce byte-identical
 reports.  The standard library's ``json``, ``csv`` and ``io`` are imported
@@ -105,8 +109,10 @@ class SweepRecord:
     reuse.  The first triple of a class landmark set pays for its BFS rows
     and its resolution check, and for a resolving set of three landmarks
     its minimality check, which later triples with the same set reuse.  The
-    mirror ``(r, q, p)``, p > r, of a checked triple pays only for building
-    its record from that triple's fields by the swap.
+    mirror ``(r, q, p)``, p > r, of a checked triple pays only for mapping
+    that triple's fields by the swap.  The time is taken as the constructor's
+    keyword argument, before the constructor runs, so no record's time
+    includes building the record itself.
     """
 
     p: int
@@ -201,7 +207,8 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
     resolving set of three landmarks is tested for minimality.  A
     triple reads its own BFS vectors as five slices of the class vectors,
     and the table diff compares them with the triple's claims as two whole
-    tuples, walking the vertices only when the tuples differ.
+    tuples, walking the vertices only when the tuples differ.  The record's
+    ``elapsed`` is taken before the record is built, so it leaves that out.
     """
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r)
@@ -278,6 +285,8 @@ def _mirror(record: SweepRecord) -> SweepRecord:
     p and r trade places and ``swapped`` flips; the basis and every
     mismatch's vertex are mapped and sorted again; and each mismatch keeps
     its claimed and BFS vectors, which its vertex has in both labellings.
+    The record's ``elapsed`` is taken before the record is built, so it
+    times the mapping only.
     """
     start = time.perf_counter()
     swap = functools.partial(_swap, record.p, record.q, record.r)
@@ -343,58 +352,95 @@ _CSV_COLUMNS = tuple(
 )
 
 
+class _Memo(dict):
+    """Each key's value, computed by ``compute`` on the key's first lookup."""
+
+    def __init__(self, compute: Callable[[object], object]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 @functools.cache
-def _writer(hint, depth: int) -> Callable[[object], str]:
+def _object_code(cls) -> tuple[types.CodeType, dict[str, typing.Any]]:
+    """The code of the JSON writer of the report dataclass ``cls``, compiled
+    on first use, and the annotations of the fields it writes by writers.
+
+    The writer is one f-string over ``_report_fields(cls)``.  Each is written
+    after the global ``_head_<field>`` (separator, indent and key): an
+    ``int`` in place with ``:d``, which gives ``int.__repr__``'s text, and
+    any other field by the global ``_write_<field>``.  The global ``_close``
+    ends the object.  So the source holds field names only, and the
+    namespace the code runs in sets the keys and the depth.
+    """
+    hints = typing.get_type_hints(cls)
+    names = _report_fields(cls)
+    written = {name: hints[name] for name in names if hints[name] is not int}
+    body = "".join(
+        f"{{_head_{name}}}{{_write_{name}(obj.{name})}}" if name in written else f"{{_head_{name}}}{{obj.{name}:d}}"
+        for name in names
+    )
+    namespace: dict[str, typing.Any] = {}
+    exec(compile(f'def write(obj):\n    return f"{body}{{_close}}"\n', f"<{cls.__name__} writer>", "exec"), namespace)
+    return namespace["write"].__code__, written
+
+
+def _writer(hint, depth: int, built: dict) -> Callable[[object], str]:
     """The function that writes a value of the annotation ``hint`` as the
     standard library's encoder does with a two-space indent, at nesting
-    ``depth``; built once per annotation and depth, on first use.
+    ``depth``.  ``built`` holds the writers made so far for one report, by
+    annotation and depth.
 
     A value at depth d opens its array or object on its key's line, writes
     its items at depth d + 1 and closes at depth d; an empty array is
-    ``[]``.  Objects are report dataclasses, whose keys are their
-    ``_report_fields``; ``X | None`` is ``X`` or ``null``.  Strings are
-    escaped by the standard library's encoder, as ``json.dumps`` does.
+    ``[]``.  Objects are report dataclasses, written by the code of
+    ``_object_code``; ``X | None`` is ``X`` or ``null``.  Strings are
+    escaped by the standard library's encoder, as ``json.dumps`` does.  An
+    array of ints is written once per distinct value, depth and report:
+    most of a sweep's are repeats, and no text is kept past the report.
     """
+    if (hint, depth) in built:
+        return built[hint, depth]
     from json.encoder import encode_basestring_ascii
 
     inner = "\n" + "  " * (depth + 1)
     close = "\n" + "  " * depth
-    if is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
-        names = _report_fields(hint)
-        heads = tuple(
-            ("," if i else "{") + inner + encode_basestring_ascii(name) + ": " for i, name in enumerate(names)
-        )
-        writers = tuple(_writer(hints[name], depth + 1) for name in names)
-        values = operator.attrgetter(*names)  # a tuple, as every report dataclass has several fields
-
-        def write_object(obj):
-            items = [head + write(value) for head, write, value in zip(heads, writers, values(obj))]
-            return "".join(items) + close + "}"
-
-        return write_object
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        write_item, sep = _writer(args[0], depth + 1), "," + inner
+    if is_dataclass(hint):
+        code, written = _object_code(hint)
+        namespace: dict[str, typing.Any] = {"_close": close + "}"}
+        for i, name in enumerate(_report_fields(hint)):
+            namespace[f"_head_{name}"] = ("," if i else "{") + inner + encode_basestring_ascii(name) + ": "
+        for name, field_hint in written.items():
+            namespace[f"_write_{name}"] = _writer(field_hint, depth + 1, built)
+        write = types.FunctionType(code, namespace)
+    elif origin is tuple:
+        write_item, sep = _writer(args[0], depth + 1, built), "," + inner
 
-        def write_array(items):
+        def write(items):
             return "[" + inner + sep.join(map(write_item, items)) + close + "]" if items else "[]"
 
-        return write_array
-    if origin is types.UnionType:  # X | None
-        (write_some,) = [_writer(arg, depth) for arg in args if arg is not type(None)]
+        if args[0] is int:
+            write = _Memo(write).__getitem__
+    elif origin is types.UnionType:  # X | None
+        (write_some,) = [_writer(arg, depth, built) for arg in args if arg is not type(None)]
 
-        def write_optional(value):
+        def write(value):
             return "null" if value is None else write_some(value)
 
-        return write_optional
-    if hint is bool:
-        return {True: "true", False: "false"}.__getitem__
-    if hint is int:
-        return int.__repr__
-    if hint is str:
-        return encode_basestring_ascii
-    raise TypeError(f"no JSON writer for {hint!r}")
+    elif hint is bool:
+        write = {True: "true", False: "false"}.__getitem__
+    elif hint is int:
+        write = int.__repr__
+    elif hint is str:
+        write = encode_basestring_ascii
+    else:
+        raise TypeError(f"no JSON writer for {hint!r}")
+    built[hint, depth] = write
+    return write
 
 
 def _csv_basis(rec: SweepRecord) -> str:
@@ -412,15 +458,23 @@ def _csv_mismatches(rec: SweepRecord) -> str:
     )
 
 
-#: The function that gives a record's cell in each CSV column, in order.
-_CSV_CELLS: tuple[Callable[[SweepRecord], object], ...] = tuple(
-    {
-        "basis": _csv_basis,
-        "table_mismatch_count": _csv_mismatch_count,
-        "table_mismatches": _csv_mismatches,
-    }.get(column) or operator.attrgetter(column)
-    for column in _CSV_COLUMNS
-)
+@functools.cache
+def _csv_row() -> Callable[[SweepRecord], tuple]:
+    """The function that gives a record's CSV cells, one per column of
+    ``_CSV_COLUMNS``, compiled on first use.  A cell is the record's field
+    of the column's name, or the global ``_cell_<column>`` of the record for
+    the basis and the mismatch columns, so the source holds column names
+    only."""
+    namespace: dict[str, typing.Any] = {
+        "_cell_basis": _csv_basis,
+        "_cell_table_mismatch_count": _csv_mismatch_count,
+        "_cell_table_mismatches": _csv_mismatches,
+    }
+    cells = ", ".join(
+        f"_cell_{column}(rec)" if f"_cell_{column}" in namespace else f"rec.{column}" for column in _CSV_COLUMNS
+    )
+    exec(compile(f"def row(rec):\n    return ({cells},)\n", "<CSV row>", "exec"), namespace)
+    return namespace["row"]
 
 
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
@@ -428,14 +482,15 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
     if fmt == "json":
         from json.encoder import encode_basestring_ascii
 
+        built: dict = {}
         # The text the standard library's encoder writes for the object
         # {schema, max_n, filters, summary, records} with a two-space indent,
         # without its pure-Python encoder, the only one that indents.
         # filters is always null, a key of the thetadim-sweep/1 schema.
         return (
             f'{{\n  "schema": {encode_basestring_ascii(SCHEMA)},\n  "max_n": {report.max_n},\n  "filters": null,\n'
-            f'  "summary": {_writer(SweepSummary, 1)(report.summary)},\n'
-            f'  "records": {_writer(tuple[SweepRecord, ...], 1)(report.records)}\n}}\n'
+            f'  "summary": {_writer(SweepSummary, 1, built)(report.summary)},\n'
+            f'  "records": {_writer(tuple[SweepRecord, ...], 1, built)(report.records)}\n}}\n'
         )
     if fmt == "csv":
         import csv
@@ -444,7 +499,7 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
-        writer.writerows([cell(rec) for cell in _CSV_CELLS] for rec in report.records)
+        writer.writerows(map(_csv_row(), report.records))
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
 

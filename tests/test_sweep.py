@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import hashlib
 import importlib
 import io
@@ -456,6 +457,41 @@ _records = st.builds(
 @given(st.builds(SweepReport, max_n=st.integers(), records=st.lists(_records, max_size=3).map(tuple)))
 def test_json_report_is_the_standard_encoders_text(report):
     assert emit_report(report) == indent2_json(report)
+
+
+def test_json_writer_keeps_no_array_text_past_the_report():
+    # Each report memoises its own int-array texts, so a second report, as
+    # in a benchmark's repeated operations, starts from an empty memo.
+    text = emit_report(sweep(8))
+    gc.collect()
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, sweep_module._Memo)]
+    assert emit_report(sweep(8)) == text
+
+
+def csv_reference(report):
+    """The CSV report by README's column rules, written by ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([
+        "p", "q", "r", "n", "case", "swapped", "formula_dim", "oracle_dim", "basis",
+        "basis_ok", "basis_minimal", "table_mismatch_count", "table_mismatches",
+    ])
+    for rec in report.records:
+        details = "; ".join(
+            f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
+            for m in rec.table_mismatches
+        )
+        writer.writerow([
+            rec.p, rec.q, rec.r, rec.n, rec.case, rec.swapped, rec.formula_dim, rec.oracle_dim,
+            ",".join(map(str, rec.basis)), rec.basis_ok, rec.basis_minimal, len(rec.table_mismatches), details,
+        ])
+    return out.getvalue()
+
+
+@settings(deadline=None)
+@given(st.builds(SweepReport, max_n=st.integers(), records=st.lists(_records, max_size=3).map(tuple)))
+def test_csv_report_is_the_standard_writers_text(report):
+    assert emit_report(report, fmt="csv") == csv_reference(report)
 
 
 def test_json_round_trip_on_empty_report():
