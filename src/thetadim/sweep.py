@@ -27,17 +27,14 @@ exact one, so a basis larger than the dimension shows as a dimension
 mismatch and a basis that does not resolve as a basis failure.
 
 Resolution is an isomorphism invariant too (Khuller, Raghavachari &
-Rosenfeld 1996), and so is minimality, so a landmark set's verdicts can be
-read from its image in the class graph.  A class landmark set is the tuple
-of a triple's closed-form landmarks' images there, in coordinate order.
-The sweep reads its BFS rows from the class graph and settles its
-resolution and minimality once, on the first triple that lands on it; a
-later triple of the class with the same images reads them.  Only a path has
-a resolving vertex (Chartrand, Eroh, Johnson & Oellermann 2000), so a
-resolving pair of landmarks is minimal without a further test; the
-minimality test runs on resolving sets of three.  A triple reads its own
-BFS vectors as five slices of the class landmark set's vectors, one per
-run; they are exactly the BFS vectors of the triple's own graph.
+Rosenfeld 1996), and so is minimality, so each checked triple's landmarks
+are checked through their images in the class graph, whose BFS rows the
+graph computes once and keeps.  Only a path has a resolving vertex
+(Chartrand, Eroh, Johnson & Oellermann 2000), so a resolving pair of
+landmarks is minimal without a further test; the minimality test runs on
+resolving sets of three.  A triple reads its own BFS vectors as five slices
+of its landmarks' vectors in the class graph, one per run; they are exactly
+the BFS vectors of the triple's own graph.
 
 A triple and its mirror ``(r, q, p)`` are one graph under the swap of the
 outer paths (``theta._swap``), and they dispatch to one case table in one
@@ -106,13 +103,12 @@ class SweepRecord:
     ``elapsed`` is the wall time of the checks.  The first triple of an
     isomorphism class in a sweep also pays for the class graph and for the
     search that settles the dimension, which later triples of the class
-    reuse.  The first triple of a class landmark set pays for its BFS rows
-    and its resolution check, and for a resolving set of three landmarks
-    its minimality check, which later triples with the same set reuse.  The
-    mirror ``(r, q, p)``, p > r, of a checked triple pays only for mapping
-    that triple's fields by the swap.  The time is taken as the constructor's
-    keyword argument, before the constructor runs, so no record's time
-    includes building the record itself.
+    reuse; a checked triple pays for those of its landmarks' BFS rows that
+    the class graph has not computed yet.  The mirror ``(r, q, p)``, p > r,
+    of a checked triple pays only for mapping that triple's fields by the
+    swap.  The time is taken as the constructor's keyword argument, before
+    the constructor runs, so no record's time includes building the record
+    itself.
     """
 
     p: int
@@ -183,31 +179,24 @@ def check_triple(p: int, q: int, r: int) -> SweepRecord:
     return _check(p, q, r, {})
 
 
-#: A class landmark set's BFS vectors in class labels, ``basis_ok`` and
-#: ``basis_minimal``, keyed by the landmarks' images in the class graph.
-_LandmarkSets = dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], bool, bool]]
-
-#: The class graph, the class dimension and the class landmark sets, keyed
-#: by class triple.
-_Classes = dict[tuple[int, int, int], tuple[Graph, int, _LandmarkSets]]
+#: The class graph and the class dimension, keyed by class triple.
+_Classes = dict[tuple[int, int, int], tuple[Graph, int]]
 
 
 def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
-    """``check_triple``, reading the class graph, the class dimension and
-    the verdicts of the class landmark sets from ``classes``, keyed by class
-    triple, and storing them there on a miss.  The case table is evaluated
-    here, in the triple's own labels, on every call.
+    """``check_triple``, reading the class graph and the class dimension
+    from ``classes``, keyed by class triple, and storing them there on a
+    miss.  The case table is evaluated here, in the triple's own labels, on
+    every call.
 
-    A class landmark set is the tuple of the closed-form landmarks' images
-    in the class graph, in coordinate order.  Its BFS vectors, read once in
-    class labels, and its resolution and minimality are computed on its
-    first triple and read by every later triple of the class with the same
-    images: the renaming is an isomorphism, which keeps both verdicts.  A
-    resolving pair is minimal, since no theta graph is a path, so only a
-    resolving set of three landmarks is tested for minimality.  A
-    triple reads its own BFS vectors as five slices of the class vectors,
-    and the table diff compares them with the triple's claims as two whole
-    tuples, walking the vertices only when the tuples differ.  The record's
+    The closed-form landmarks are checked through their images in the class
+    graph, whose rows the graph keeps: the renaming is an isomorphism, which
+    keeps both resolution and minimality.  A resolving pair is minimal,
+    since no theta graph is a path, so only a resolving set of three
+    landmarks is tested for minimality.  A triple reads its own BFS vectors
+    as five slices of its landmarks' vectors in the class graph, and the
+    table diff compares them with the triple's claims as two whole tuples,
+    walking the vertices only when the tuples differ.  The record's
     ``elapsed`` is taken before the record is built, so it leaves that out.
     """
     start = time.perf_counter()
@@ -224,18 +213,15 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
         else c + w - p - q
         for w in _valid_landmarks(result.landmarks, n)
     )
-    g, oracle_dim, landmark_sets = classes.get(key) or (build_c(*key), None, {})
-    verdict = landmark_sets.get(images)
-    if verdict is None:
-        # Neither resolution nor minimality depends on the landmark order.
-        rows = list(map(g.distance_row, images))
-        basis_ok = _resolves(rows, n)
-        # Only a path has a resolving vertex (Chartrand, Eroh, Johnson &
-        # Oellermann 2000), and a class graph has n + 1 edges, so it is no
-        # path and a resolving pair is minimal without a further test.
-        basis_minimal = basis_ok and (len(rows) == 2 or _minimal(rows, n))
-        verdict = landmark_sets[images] = tuple(zip(*rows)), basis_ok, basis_minimal
-    vectors, basis_ok, basis_minimal = verdict
+    g, oracle_dim = classes.get(key) or (build_c(*key), None)
+    # Neither resolution nor minimality depends on the landmark order.
+    rows = list(map(g.distance_row, images))
+    basis_ok = _resolves(rows, n)
+    # Only a path has a resolving vertex (Chartrand, Eroh, Johnson &
+    # Oellermann 2000), and a class graph has n + 1 edges, so it is no path
+    # and a resolving pair is minimal without a further test.
+    basis_minimal = basis_ok and (len(rows) == 2 or _minimal(rows, n))
+    vectors = tuple(zip(*rows))
     if oracle_dim is None:
         # A resolving basis of s landmarks bounds the dimension by s, so the
         # oracle's search need only try the sizes below s; without one it
@@ -243,7 +229,7 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
         below = len(images) if basis_ok else n + 1
         found = _search(g, below)
         oracle_dim = below if found is None else found.dimension
-        classes[key] = g, oracle_dim, landmark_sets
+        classes[key] = g, oracle_dim
 
     mismatches: list[TableMismatch] = []
     claimed_vectors = claims()
@@ -315,14 +301,13 @@ def sweep(max_n: int) -> SweepReport:
     """Check every valid triple with p+q+r <= max_n, in deterministic order.
 
     Each isomorphism class has one graph, built on its first triple, and one
-    dimension, settled there; each class landmark set has one set of BFS
-    vectors and one resolution and minimality verdict, settled on its first
-    triple.  Of each mirror pair ``(p, q, r)``, ``(r, q, p)`` with p < r,
-    only ``(p, q, r)`` is checked, and it comes first; the record of
-    ``(r, q, p)`` is derived from its record by the swap.  A class's triples
-    and a mirror pair share n and come in order of n, so the sweep drops the
-    class graphs, their landmark sets and the records by triple of one n
-    once it has passed that n.
+    dimension, settled there; each checked triple reads its landmarks' BFS
+    rows from the class graph.  Of each mirror pair ``(p, q, r)``,
+    ``(r, q, p)`` with p < r, only ``(p, q, r)`` is checked, and it comes
+    first; the record of ``(r, q, p)`` is derived from its record by the
+    swap.  A class's triples and a mirror pair share n and come in order of
+    n, so the sweep drops the class graphs and the records by triple of one
+    n once it has passed that n.
     """
     records: list[SweepRecord] = []
     for _, triples in itertools.groupby(valid_triples(max_n), key=sum):
@@ -453,7 +438,7 @@ def _csv_mismatch_count(rec: SweepRecord) -> int:
 
 def _csv_mismatches(rec: SweepRecord) -> str:
     return "; ".join(
-        f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
+        f"v{m.vertex} formula={list(m.formula) if m.formula is not None else m.note} bfs={list(m.bfs)}"
         for m in rec.table_mismatches
     )
 

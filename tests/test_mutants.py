@@ -1,0 +1,81 @@
+"""The mutation ledger: each row breaks the library in one place, in a copy
+of ``src/``, and names the tests that must catch it.
+
+A row gives a file under ``src/``, an exact old text, its replacement and
+the tests that must fail.  The named tests run in a subprocess against the
+copy, with a fixed hypothesis seed; pytest must exit with code 1, so a
+failing test counts and a collection or usage error does not.  A row whose
+old text does not occur exactly once fails, so a refactor that moves the
+text must update or retire the row.  Slow; run with ``pytest -m slow``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (file under src/, old text, replacement, tests that must fail)
+MUTANTS = [
+    (
+        "thetadim/sweep.py",
+        "basis_minimal = basis_ok and (len(rows) == 2 or _minimal(rows, n))",
+        "basis_minimal = basis_ok",
+        ["tests/test_sweep.py::test_a_resolving_basis_above_the_dimension_is_a_mismatch"],
+    ),
+    (
+        "thetadim/sweep.py",
+        "below = len(images) if basis_ok else n + 1",
+        "below = len(images)",
+        ["tests/test_sweep.py::test_a_basis_that_does_not_resolve_gets_the_full_oracle"],
+    ),
+    (
+        "thetadim/sweep.py",
+        "basis=tuple(sorted(map(swap, record.basis)))",
+        "basis=tuple(map(swap, record.basis))",
+        ["tests/test_sweep.py::test_records_are_reproducible[7]"],
+    ),
+    (
+        "thetadim/sweep.py",
+        'key=operator.attrgetter("vertex")',
+        "key=lambda m: 0",
+        ["tests/test_sweep.py::test_records_are_reproducible[32]"],
+    ),
+    (
+        "thetadim/sweep.py",
+        "if m.formula is not None",
+        "if m.formula",
+        ["tests/test_sweep.py::test_csv_report_is_the_standard_writers_text"],
+    ),
+]
+
+pytestmark = pytest.mark.slow
+
+
+@pytest.mark.parametrize(
+    "path, old, new, tests", MUTANTS, ids=[f"{path}:{new}" for path, _, new, _ in MUTANTS]
+)
+def test_mutant_fails_its_tests(tmp_path, path, old, new, tests):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    target = src / path
+    text = target.read_text()
+    assert text.count(old) == 1, f"{old!r} occurs {text.count(old)} times in {path}"
+    target.write_text(text.replace(old, new))
+    # The subprocess runs in tmp_path, so its hypothesis database lands
+    # there, and it writes no cache or bytecode into the repository.
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+         *(str(ROOT / test) for test in tests)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr

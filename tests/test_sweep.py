@@ -12,7 +12,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thetadim import (
@@ -34,7 +34,6 @@ from thetadim import (
     valid_triples,
 )
 
-from conftest import class_labels
 
 #: The module, which the package's ``sweep`` function shadows as an attribute.
 sweep_module = importlib.import_module("thetadim.sweep")
@@ -182,33 +181,6 @@ def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
         assert list(rec.table_mismatches) == expected, (rec.p, rec.q, rec.r)
 
 
-def test_sweep_checks_resolution_once_per_class_landmark_set(monkeypatch):
-    # Resolution and minimality depend only on where the landmarks land in
-    # the class graph, so a sweep checks each class landmark set of the
-    # triples it checks, those with p <= r, once; a second sweep checks every
-    # set again.
-    checks = []
-    resolves = sweep_module._resolves
-
-    def counting(rows, n):
-        checks.append(n)
-        return resolves(rows, n)
-
-    monkeypatch.setattr(sweep_module, "_resolves", counting)
-    landmark_sets = set()
-    for p, q, r in valid_triples(12):
-        if p > r:
-            continue
-        key, labels = class_labels(p, q, r)
-        landmarks = closed_form.closed_form_basis(p, q, r).landmarks
-        landmark_sets.add((key, tuple(labels[w - 1] for w in landmarks)))
-    assert len(landmark_sets) == 109
-    sweep(12)
-    assert len(checks) == len(landmark_sets)
-    sweep(12)
-    assert len(checks) == 2 * len(landmark_sets)
-
-
 def test_a_resolving_pair_of_landmarks_is_minimal():
     # Only a path has a resolving vertex, and no theta graph is a path, so
     # the sweep marks a resolving pair minimal without testing it; here the
@@ -221,8 +193,8 @@ def test_a_resolving_pair_of_landmarks_is_minimal():
 
 
 def test_sweep_tests_minimality_of_resolving_three_landmark_sets_only(monkeypatch):
-    # A sweep tests the minimality of each resolving class landmark set of
-    # three landmarks once, and of no pair.
+    # A sweep tests minimality once for each triple it checks, those with
+    # p <= r, whose three landmarks resolve, and never for a pair.
     sizes = []
     minimal = sweep_module._minimal
 
@@ -231,16 +203,15 @@ def test_sweep_tests_minimality_of_resolving_three_landmark_sets_only(monkeypatc
         return minimal(rows, n)
 
     monkeypatch.setattr(sweep_module, "_minimal", counting)
-    resolving = set()
+    resolving = []
     for p, q, r in valid_triples(12):
         if p > r:
             continue
-        key, labels = class_labels(p, q, r)
-        images = tuple(labels[w - 1] + 1 for w in closed_form.closed_form_basis(p, q, r).landmarks)
-        if is_resolving(build_c(*key), images):
-            resolving.add((key, images))
-    by_size = Counter(len(images) for _, images in resolving)
-    assert by_size == {2: 102, 3: 7}
+        landmarks = closed_form.closed_form_basis(p, q, r).landmarks
+        if is_resolving(build_c(p, q, r), landmarks):
+            resolving.append(landmarks)
+    by_size = Counter(map(len, resolving))
+    assert by_size == {2: 133, 3: 7}
     sweep(12)
     assert sizes == [3] * by_size[3]
 
@@ -281,21 +252,31 @@ def test_sweep_evaluates_each_case_table_once_per_sweep(monkeypatch):
 def test_sweep_checks_each_mirror_pair_once(monkeypatch):
     # Of a triple and its mirror (r, q, p) the sweep checks the first and
     # derives the other's record by the swap; a triple with p = r is its own
-    # mirror.  A second sweep checks every pair again.
+    # mirror.  Each checked triple checks its landmarks for resolution once,
+    # on the class graph's rows, and a derived record checks none.  A second
+    # sweep checks every pair again.
     checked = []
     check = sweep_module._check
+    resolution_checks = []
+    resolves = sweep_module._resolves
 
     def counting(p, q, r, classes):
         checked.append((p, q, r))
         return check(p, q, r, classes)
 
+    def counting_resolves(rows, n):
+        resolution_checks.append(n)
+        return resolves(rows, n)
+
     monkeypatch.setattr(sweep_module, "_check", counting)
+    monkeypatch.setattr(sweep_module, "_resolves", counting_resolves)
     pairs = {min((p, q, r), (r, q, p)) for p, q, r in valid_triples(12)}
     assert len(pairs) == 140 and sum(p == r for p, _, r in pairs) == 25
     assert len(sweep(12).records) == 255
     assert sorted(checked) == sorted(pairs)
+    assert len(resolution_checks) == len(pairs)
     sweep(12)
-    assert len(checked) == 2 * len(pairs)
+    assert len(checked) == len(resolution_checks) == 2 * len(pairs)
 
 
 def with_landmarks(monkeypatch, triple, landmarks):
@@ -339,12 +320,13 @@ def test_a_basis_that_does_not_resolve_gets_the_full_oracle(monkeypatch):
     assert assert_dimensions_are_the_oracles(report) > 1
 
 
-def test_the_landmark_memo_leaks_no_verdict(monkeypatch):
+def test_patched_landmarks_change_only_their_triple_and_mirror(monkeypatch):
     # (3, 5, 5) is the first triple of its class at n = 13, which (3, 7, 3)
     # and (5, 5, 3) share.  Landmarks that do not resolve it change its own
     # record and the record derived from it for its mirror (5, 5, 3) alone:
-    # (3, 7, 3), checked later, reads only the verdict of its own landmarks'
-    # images.
+    # (3, 7, 3), checked later on the same class graph, gets the verdicts of
+    # its own landmarks.  This guards against any per-class cache of
+    # verdicts, which would carry one triple's verdicts to another.
     plain = sweep(13)
     with_landmarks(monkeypatch, (3, 5, 5), (9, 10))
     patched = sweep(13)
@@ -478,7 +460,7 @@ def csv_reference(report):
     ])
     for rec in report.records:
         details = "; ".join(
-            f"v{m.vertex} formula={list(m.formula) if m.formula else m.note} bfs={list(m.bfs)}"
+            f"v{m.vertex} formula={list(m.formula) if m.formula is not None else m.note} bfs={list(m.bfs)}"
             for m in rec.table_mismatches
         )
         writer.writerow([
@@ -490,6 +472,10 @@ def csv_reference(report):
 
 @settings(deadline=None)
 @given(st.builds(SweepReport, max_n=st.integers(), records=st.lists(_records, max_size=3).map(tuple)))
+# An empty claim is written as a list, as JSON writes it, not as its note.
+@example(SweepReport(max_n=5, records=(
+    SweepRecord(0, 3, 2, 5, "T", False, 2, 2, (1, 2), True, True, (TableMismatch(1, (), (1,), ""),)),
+)))
 def test_csv_report_is_the_standard_writers_text(report):
     assert emit_report(report, fmt="csv") == csv_reference(report)
 
