@@ -1,5 +1,8 @@
 """Immutable simple graphs on 1-based vertex labels, with BFS hop distances.
 
+A graph is held as its adjacency, one sorted neighbour tuple per vertex,
+built by ``new_graph``; the edge set is derived from it for listings.
+
 Each graph memoises its distance rows, one BFS per source vertex asked for.
 A BFS walks one list in visit order, level after level, appending each
 vertex as it is first reached; the list is its own queue, with no deque.
@@ -25,23 +28,21 @@ UNREACHABLE = -1
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 1..n with a deduplicated edge set.
+    """Undirected simple graph on vertices 1..n, held as its adjacency.
 
-    Edges are stored as ``(min(u, v), max(u, v))`` pairs.  Instances are
-    immutable; use :func:`new_graph` to construct one with validation.
+    ``adjacency[v]`` is the sorted tuple of v's neighbours, and
+    ``adjacency[0]`` is ``()``.  Instances are immutable; use
+    :func:`new_graph` to construct one with validation.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples indexed by vertex label (index 0 unused)."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(map(tuple, map(sorted, nbrs)))
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set as ``(u, v)`` pairs with u < v, derived from the
+        adjacency on each read."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.adjacency) for v in nbrs if u < v)
 
     @cached_property
     def _distance_matrix(self) -> DistanceMatrix:
@@ -96,19 +97,27 @@ class DistanceMatrix:
 
 
 def new_graph(n: int, edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) -> Graph:
-    """Build a simple graph, deduplicating repeated edges.
+    """Build a simple graph from an edge list, in one pass that checks each
+    edge and adds it to both endpoints' neighbour sets, so an edge repeated
+    in either orientation counts once.
 
     Raises ``ValueError`` for a non-positive vertex count, an endpoint
     outside 1..n, or a self-loop, naming the first bad edge in input order.
     """
     if n < 1:
         raise ValueError(f"vertex count must be positive, got {n}")
+    # Dicts of ints as neighbour sets: unlike sets, the cyclic collector does
+    # not track them, so a collection while they are alive promotes none of
+    # them to the oldest generation, where n + 1 sets hasten full collections.
+    nbrs: list[dict[int, None]] = [{} for _ in range(n + 1)]
     for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-    return Graph(n=n, edges=frozenset([(u, v) if u < v else (v, u) for u, v in edges]))
+        nbrs[u][v] = None
+        nbrs[v][u] = None
+    return Graph(n=n, adjacency=tuple(map(tuple, map(sorted, nbrs))))
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

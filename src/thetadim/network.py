@@ -331,8 +331,8 @@ def network_graph(spec: NetworkSpec) -> Graph:
     except (KeyError, ValueError):  # a link to an undeclared node, or a self-link
         _Declared(spec.nodes, spec.links)
         raise
-    # a node declared twice, or a link repeated in either orientation
-    if len(index) != len(spec.nodes) or len(g.edges) != len(spec.links):
+    # a node declared twice, or a link repeated in either orientation (counted once)
+    if len(index) != len(spec.nodes) or sum(map(len, g.adjacency)) != 2 * len(spec.links):
         _Declared(spec.nodes, spec.links)
     if not g.is_connected():
         raise ValueError("network graph is disconnected")

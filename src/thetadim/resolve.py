@@ -27,10 +27,10 @@ one the full enumeration finds:
 The oracle reads distance rows on demand from the graph's memo, so a search
 that finds its witness early computes only the rows it tested.  The
 diameter bound needs every row only when nothing cheaper settles it: at
-size 1 it holds exactly for paths (D = n - 1), which the edge count and
-degrees show, so the search starts at size 1 on a path and at size 2 on any
-other graph; at a larger size the eccentricity of vertex 1, at most D,
-settles it whenever it already meets the bound.
+size 1 it holds exactly for paths (D = n - 1), which the degrees show, so
+the search starts at size 1 on a path and at size 2 on any other graph; at
+a larger size the eccentricity of vertex 1, at most D, settles it whenever
+it already meets the bound.
 
 The oracle is one search over the sizes below a bound, with no bound.  A
 caller that holds a resolving set of size s knows the dimension is at most s,
@@ -95,9 +95,10 @@ def representation(D: DistanceMatrix, v: int, landmarks: list[int] | tuple[int, 
     return tuple(D.dist(v, w) for w in W)
 
 
-def _resolves(landmark_rows: Iterable[tuple[int, ...]], n: int) -> bool:
-    """True when the landmark rows give all n vertices distinct vectors."""
-    return len(set(zip(*landmark_rows))) == n
+def _resolves(vectors: Iterable[tuple[int, ...]], n: int) -> bool:
+    """True when the n vertices' vectors of landmark distances are distinct;
+    callers holding the landmarks' rows pass ``zip(*rows)``."""
+    return len(set(vectors)) == n
 
 
 def _first_collision(landmark_rows: list[tuple[int, ...]]) -> tuple[int, int] | None:
@@ -128,7 +129,7 @@ def unresolved_pair(g: Graph, landmarks: list[int] | tuple[int, ...]) -> tuple[i
 
 def is_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bool:
     """True when every vertex has a distinct distance vector to the landmarks."""
-    return _resolves(_landmark_rows(g, landmarks), g.n)
+    return _resolves(zip(*_landmark_rows(g, landmarks)), g.n)
 
 
 def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bool:
@@ -137,7 +138,7 @@ def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bo
     Raises ``ValueError`` when the given set is not resolving to begin with.
     """
     rows = _landmark_rows(g, landmarks)
-    if not _resolves(rows, g.n):
+    if not _resolves(zip(*rows), g.n):
         raise ValueError(f"{tuple(landmarks)} is not a resolving set")
     return _minimal(rows, g.n)
 
@@ -145,7 +146,7 @@ def is_minimal_resolving(g: Graph, landmarks: list[int] | tuple[int, ...]) -> bo
 def _minimal(rows: list[tuple[int, ...]], n: int) -> bool:
     """True when each landmark row of a resolving set is needed: dropping
     any one of them leaves two of the n vertices with equal vectors."""
-    return not any(_resolves(rows[:i] + rows[i + 1 :], n) for i in range(len(rows)))
+    return not any(_resolves(zip(*rows[:i], *rows[i + 1 :]), n) for i in range(len(rows)))
 
 
 def _check_level_cost(k: int, n: int) -> None:
@@ -233,11 +234,11 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
     - sizes k with D^k + k < n, since a graph of diameter D with a resolving
       set of size k has at most D^k + k vertices (Khuller, Raghavachari &
       Rosenfeld 1996).  At size 1 this says that only a path (D = n - 1)
-      has dimension 1, which the edge count and degrees show without D, so
-      the search starts at size 1 on a path and at size 2 on any other
-      graph.  A larger size is tested when the eccentricity of vertex 1, at
-      most D, already gives ecc(1)^k + k >= n; only otherwise is D computed,
-      from every row.
+      has dimension 1, which the degrees show without D, so the search
+      starts at size 1 on a path and at size 2 on any other graph.  A
+      larger size is tested when the eccentricity of vertex 1, at most D,
+      already gives ecc(1)^k + k >= n; only otherwise is D computed, from
+      every row.
 
     Distance rows are read on demand from the graph's memo, so a search
     that ends early computes only the rows of the candidates it tested.
@@ -270,8 +271,9 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     if not g.is_connected():
         raise ValueError("metric dimension oracle requires a connected graph")
     # D + 1 >= n, the diameter bound at size 1, holds only for a path, whose
-    # diameter is n - 1: a connected graph of n - 1 edges and degrees <= 2.
-    path = len(g.edges) == n - 1 and max(map(len, g.adjacency)) <= 2
+    # diameter is n - 1: a connected graph of degrees <= 2 and degree sum 2n - 2.
+    degrees = list(map(len, g.adjacency))
+    path = max(degrees) <= 2 and sum(degrees) == 2 * n - 2
     start = 1 if path else 2
     if start >= below:
         return None
@@ -329,7 +331,7 @@ def _search(g: Graph, below: int) -> BasisResult | None:
         ):
             if (total - sum(cand_weights)) & too_few:
                 continue
-            if _resolves(landmark_rows or map(row_of, cand), n):
+            if _resolves(zip(*(landmark_rows or map(row_of, cand))), n):
                 return BasisResult(dimension=k, witness=cand)
         # A search that outlives a size has read nearly every row already,
         # and handing each candidate its rows is faster than looking them up.

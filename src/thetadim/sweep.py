@@ -11,20 +11,19 @@ dimension once.  A theta graph is fixed up to isomorphism by the multiset of
 its hub-to-hub path lengths, so the triples with the same sorted path
 lengths are one graph under different labels.  The class graph is
 ``build_c(x, y + 2, z)`` for the chains' internal counts sorted into
-x >= y >= z, and ``theta._class_labels`` gives the offsets that rename a
-triple onto it, run by run: the p-chain, hub a, the middle internals, hub b
-and the r-chain each map onto consecutive class labels, chains in order
-from hub a and hub onto hub.  Metric dimension is an isomorphism invariant,
-and a record keeps only the oracle's dimension, not its witness, so the
-oracle's search runs on the class graph, once, for the first triple of the
-class, whose closed-form landmarks are checked first.  When they resolve, s
-of them bound the dimension by s, and the search runs over the sizes below
-s only: the size of the first resolving set it finds is the dimension, or s
-when it finds none.  A theta graph is never a path, so a class with a
-resolving basis of two tests no candidate.  When the landmarks do not
-resolve, the full oracle runs.  Either way the dimension is the oracle's
-exact one, so a basis larger than the dimension shows as a dimension
-mismatch and a basis that does not resolve as a basis failure.
+x >= y >= z, and ``theta._class_labels`` gives the class label of each of
+a triple's vertices, chains in order from hub a and hub onto hub.  Metric
+dimension is an isomorphism invariant, and a record keeps only the oracle's
+dimension, not its witness, so the oracle's search runs on the class graph,
+once, for the first triple of the class, whose closed-form landmarks are
+checked first.  When they resolve, s of them bound the dimension by s, and
+the search runs over the sizes below s only: the size of the first
+resolving set it finds is the dimension, or s when it finds none.  A theta
+graph is never a path, so a class with a resolving basis of two tests no
+candidate.  When the landmarks do not resolve, the full oracle runs.  Either
+way the dimension is the oracle's exact one, so a basis larger than the
+dimension shows as a dimension mismatch and a basis that does not resolve
+as a basis failure.
 
 Resolution is an isomorphism invariant too (Khuller, Raghavachari &
 Rosenfeld 1996), and so is minimality, so each checked triple's landmarks
@@ -32,9 +31,9 @@ are checked through their images in the class graph, whose BFS rows the
 graph computes once and keeps.  Only a path has a resolving vertex
 (Chartrand, Eroh, Johnson & Oellermann 2000), so a resolving pair of
 landmarks is minimal without a further test; the minimality test runs on
-resolving sets of three.  A triple reads its own BFS vectors as five slices
-of its landmarks' vectors in the class graph, one per run; they are exactly
-the BFS vectors of the triple's own graph.
+resolving sets of three.  A triple reads its own BFS vectors from its
+landmarks' vectors in the class graph, vertex v at its class label; they are
+exactly the BFS vectors of the triple's own graph.
 
 A triple and its mirror ``(r, q, p)`` are one graph under the swap of the
 outer paths (``theta._swap``), and they dispatch to one case table in one
@@ -194,34 +193,26 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
     keeps both resolution and minimality.  A resolving pair is minimal,
     since no theta graph is a path, so only a resolving set of three
     landmarks is tested for minimality.  A triple reads its own BFS vectors
-    as five slices of its landmarks' vectors in the class graph, and the
-    table diff compares them with the triple's claims as two whole tuples,
-    walking the vertices only when the tuples differ.  The record's
+    from its landmarks' vectors in the class graph, by its class labels, and
+    the table diff compares them with the triple's claims as two whole
+    tuples, walking the vertices only when the tuples differ.  The record's
     ``elapsed`` is taken before the record is built, so it leaves that out.
     """
     start = time.perf_counter()
     result, claims = _closed_form(p, q, r)
-    key, (a, hub_a, m, hub_b, c) = _class_labels(p, q, r)
+    key, labels = _class_labels(p, q, r)
     n = p + q + r
-    # The 1-based image in the class graph of each landmark: the offset of
-    # its run plus its place in the run.
-    images = tuple(
-        a + w if w <= p
-        else hub_a + 1 if w == p + 1
-        else m + w - p - 1 if w < p + q
-        else hub_b + 1 if w == p + q
-        else c + w - p - q
-        for w in _valid_landmarks(result.landmarks, n)
-    )
+    # The 1-based image in the class graph of each landmark.
+    images = tuple(labels[w - 1] + 1 for w in _valid_landmarks(result.landmarks, n))
     g, oracle_dim = classes.get(key) or (build_c(*key), None)
     # Neither resolution nor minimality depends on the landmark order.
     rows = list(map(g.distance_row, images))
-    basis_ok = _resolves(rows, n)
+    vectors = tuple(zip(*rows))
+    basis_ok = _resolves(vectors, n)
     # Only a path has a resolving vertex (Chartrand, Eroh, Johnson &
     # Oellermann 2000), and a class graph has n + 1 edges, so it is no path
     # and a resolving pair is minimal without a further test.
     basis_minimal = basis_ok and (len(rows) == 2 or _minimal(rows, n))
-    vectors = tuple(zip(*rows))
     if oracle_dim is None:
         # A resolving basis of s landmarks bounds the dimension by s, so the
         # oracle's search need only try the sizes below s; without one it
@@ -233,9 +224,9 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
 
     mismatches: list[TableMismatch] = []
     claimed_vectors = claims()
-    # The triple's own BFS vectors: the class vectors of its five runs, in
-    # its own order.
-    bfs_vectors = (*vectors[a : a + p], vectors[hub_a], *vectors[m : m + q - 2], vectors[hub_b], *vectors[c : c + r])
+    # The triple's own BFS vectors, in its own order.  A list first: a tuple
+    # built from an iterator is resized on the way, which raised peak RSS.
+    bfs_vectors = tuple([vectors[i] for i in labels])
     if claimed_vectors != bfs_vectors:
         for v, (claimed, ground) in enumerate(zip(claimed_vectors, bfs_vectors, strict=True), start=1):
             if isinstance(claimed, str):

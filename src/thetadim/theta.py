@@ -124,21 +124,16 @@ def _swap(p: int, q: int, r: int, v: int) -> int:
     return v - p - q
 
 
-def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[int, int, int, int, int]]:
-    """The class triple of ``C_{p,q,r}`` and the offsets that rename
-    ``C_{p,q,r}`` onto its graph.
+def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[int, ...]]:
+    """The class triple of ``C_{p,q,r}`` and the labels that rename
+    ``C_{p,q,r}`` onto its graph: ``labels[v - 1]`` is the 0-based class
+    label of vertex v.
 
     The chains' internal counts p, q - 2 and r, sorted into x >= y >= z (ties
     kept in chain order), give the class graph ``build_c(x, y + 2, z)``, the
     same for every triple of the isomorphism class.  Each chain maps onto the
     class chain of its count, in order from hub a, and hubs map onto hubs, so
     the map is adjacency-preserving.
-
-    The vertices 1..n of ``C_{p,q,r}`` fall into five runs of consecutive
-    labels: the p-chain v_1..v_p, hub a v_{p+1}, the middle internals
-    v_{p+2}..v_{p+q-1}, hub b v_{p+q} and the r-chain v_{p+q+1}..v_n.  Each
-    run maps onto consecutive labels of the class graph, in order, and the
-    offsets are the 0-based class labels of the five runs' first vertices.
     """
     counts = (p, q - 2, r)
     order = sorted(range(3), key=counts.__getitem__, reverse=True)
@@ -146,20 +141,20 @@ def _class_labels(p: int, q: int, r: int) -> tuple[tuple[int, int, int], tuple[i
     starts = [0, 0, 0]
     for chain, start in zip(order, (0, x + 1, x + y + 2)):
         starts[chain] = start
-    return (x, y + 2, z), (starts[0], x, starts[1], x + y + 1, starts[2])
+    a, m, c = starts
+    return (x, y + 2, z), (*range(a, a + p), x, *range(m, m + q - 2), x + y + 1, *range(c, c + r))
 
 
 def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
     """Locate the two hubs and the three hub-to-hub chains, or None.
 
     Each chain is the tuple of its internal (degree-2) vertices ordered away
-    from ``hub_a``.  Rejects anything that is not a theta graph: wrong edge
-    count, wrong degree sequence, disconnected input, or two cycles hanging
-    off the same hub (a chain walking back to its start).
+    from ``hub_a``.  Rejects anything that is not a theta graph: wrong degree
+    sequence, disconnected input, or two cycles hanging off the same hub (a
+    chain walking back to its start).  Degrees in {2, 3} with exactly two
+    hubs of degree 3 make n + 1 edges, so the edge count needs no test.
     """
     n = g.n
-    if n < 4 or len(g.edges) != n + 1:
-        return None
     adj = g.adjacency
     degrees = list(map(len, adj[1:]))
     hubs = [v for v, d in enumerate(degrees, start=1) if d == 3]

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadim import UNREACHABLE, all_pairs, bfs_distances, build_c, graphs, new_graph
 
@@ -44,6 +45,34 @@ def test_complete_bipartite_edge_count():
 def test_duplicate_edges_collapse():
     g = new_graph(2, [(1, 2), (2, 1), (1, 2)])
     assert len(g.edges) == 1
+
+
+@st.composite
+def edge_lists(draw, max_n: int = 12):
+    """A vertex count n and a list of edges on 1..n, each in either
+    orientation, possibly repeated."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs))) if pairs else []
+
+
+@given(edge_lists(), small_graphs())
+@settings(deadline=None)
+def test_new_graph_builds_the_adjacency_of_its_edge_list(n_edges, g):
+    n, edges = n_edges
+    built = new_graph(n, edges)
+    nbrs = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    assert built.adjacency == tuple(tuple(sorted(vs)) for vs in nbrs)
+    assert built.edges == {(min(u, v), max(u, v)) for u, v in edges}
+    assert sum(map(len, built.adjacency)) == 2 * len(built.edges)
+    # each edge repeated in the other orientation collapses onto the same graph
+    assert new_graph(n, edges + [(v, u) for u, v in edges]) == built
+    # a graph is rebuilt from its own edge listing
+    assert new_graph(g.n, sorted(g.edges)) == g
+    assert sum(map(len, g.adjacency)) == 2 * len(g.edges)
 
 
 @pytest.mark.parametrize("bad", [[(0, 1)], [(1, 3)], [(1, 1)]])

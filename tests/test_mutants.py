@@ -51,6 +51,30 @@ MUTANTS = [
         "if m.formula",
         ["tests/test_sweep.py::test_csv_report_is_the_standard_writers_text"],
     ),
+    (
+        "thetadim/theta.py",
+        "x, *range(m, m + q - 2), x + y + 1",
+        "x + y + 1, *range(m, m + q - 2), x",
+        ["tests/test_sweep.py::test_sweep_reads_each_triples_own_bfs_rows"],
+    ),
+    (
+        "thetadim/graphs.py",
+        "nbrs[v][u] = None",
+        "pass",
+        ["tests/test_graphs.py::test_new_graph_builds_the_adjacency_of_its_edge_list"],
+    ),
+    (
+        "thetadim/resolve.py",
+        " and sum(degrees) == 2 * n - 2",
+        "",
+        ["tests/test_resolve.py::test_only_paths_test_size_one"],
+    ),
+    (
+        "thetadim/network.py",
+        " or sum(map(len, g.adjacency)) != 2 * len(spec.links)",
+        "",
+        ["tests/test_network.py::test_graph_build_names_a_bad_spec"],
+    ),
 ]
 
 pytestmark = pytest.mark.slow

@@ -406,10 +406,10 @@ def resolves_calls(monkeypatch):
     sizes = []
     real = resolve._resolves
 
-    def counting(landmark_rows, n):
-        landmark_rows = tuple(landmark_rows)
-        sizes.append(len(landmark_rows))
-        return real(landmark_rows, n)
+    def counting(vectors, n):
+        vectors = tuple(vectors)
+        sizes.append(len(vectors[0]))
+        return real(vectors, n)
 
     monkeypatch.setattr(resolve, "_resolves", counting)
     return sizes

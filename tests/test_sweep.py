@@ -163,7 +163,7 @@ def test_dimension_two_record_reads_only_its_landmark_and_vertex_1_rows(bfs_sour
 
 def test_sweep_reads_each_triples_own_bfs_rows(monkeypatch):
     # With every claim "uncovered", the table diff lists every vertex with the
-    # BFS vector it read, sliced from the class vectors: it must be the vector
+    # BFS vector it read from the class vectors: it must be the vector
     # of the triple's own graph to the triple's closed-form landmarks.
     forms = sweep_module._closed_form
 
