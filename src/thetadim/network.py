@@ -39,7 +39,10 @@ explain step, which reads it line by line by the tokenizer and the
 directive rules, and either returns its spec (a quoted directive, say) or
 names the first faulty line and its fault.  The pattern and the tokenizer
 take their words from one rule, ``_WORD``, under which a line the pattern
-does not match is refused in linear time.
+does not match is refused in linear time.  The patterns are compiled when
+this module is imported, which the package and the CLI do only on the
+first use of a network name, so a command that reads no network does not
+compile them.
 
 The four spec rules (no duplicate node, no link to an undeclared node, no
 self-link, no repeated link) are stated once, in ``_Declared``.  The explain
@@ -58,9 +61,8 @@ property is re-checked on every call rather than trusted.
 
 from __future__ import annotations
 
-import functools
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, compress, count, repeat
@@ -103,78 +105,56 @@ _DOUBLE_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'  # inside double quotes: plain runs, ea
 # word splits into pieces one way only and a long word that fails to match
 # backtracks in linear time (Python 3.10 has no possessive quantifiers).
 _WORD = rf"""(?:[^ \t\r\n'"\\#]|\\.|'[^']*'|"{_DOUBLE_BODY}")+"""
+_PIECE = re.compile(rf"""'([^']*)'|"({_DOUBLE_BODY})"|\\(.)""", re.DOTALL)  # one quoted piece or escape
+_DOUBLE_ESCAPE = re.compile(r'\\([\\"])')  # the two escapes inside double quotes
+# One lexeme of a line, with one group each for a word and the two faults.
+_LEXEME = re.compile(
+    rf"({_WORD})"
+    r"|#[^\n]*"  # a comment, to the end of the line
+    rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
+    r"""|(['"]).*""",  # an unclosed quote
+    re.DOTALL,
+)
+_BLANK = r"[ \t\r\n]"
+#: ``_match_line(line)``: the match of a whole ``node NAME`` or ``link A B``
+#: line, or of a blank or comment line, with an optional trailing comment;
+#: None for any other line.  Its groups are the raw words
+#: ``(NAME, None, None)``, ``(None, A, B)`` or ``(None, None, None)``.
+_match_line = re.compile(
+    rf"{_BLANK}*(?:(?:node{_BLANK}+({_WORD})|link{_BLANK}+({_WORD}){_BLANK}+({_WORD})){_BLANK}*)?(?:#[^\n]*)?",
+    re.DOTALL,
+).fullmatch
 
 
-@functools.cache
-def _word_decoder() -> Callable[[str], str]:
-    """``decode(word)``: the token text of one raw word matched by ``_WORD``,
-    with its quotes and escapes removed."""
-    piece = re.compile(rf"""'([^']*)'|"({_DOUBLE_BODY})"|\\(.)""", re.DOTALL)
-    double_escape = re.compile(r'\\([\\"])')
-
-    def piece_text(m: re.Match) -> str:
-        single, double, escaped = m.groups()
-        if double is not None:
-            return double_escape.sub(r"\1", double) if "\\" in double else double
-        return single if single is not None else escaped
-
-    def decode(word: str) -> str:
-        if "\\" in word or '"' in word:
-            return piece.sub(piece_text, word)
-        if "'" in word:
-            return word.replace("'", "")
-        return word
-
-    return decode
+def _piece_text(m: re.Match) -> str:
+    single, double, escaped = m.groups()
+    if double is not None:
+        return _DOUBLE_ESCAPE.sub(r"\1", double) if "\\" in double else double
+    return single if single is not None else escaped
 
 
-@functools.cache
-def _line_splitter() -> Callable[[str], list[str]]:
-    """The line tokenizer: ``split(line)`` gives the tokens of one line, as
-    ``shlex.split(line, comments=True)`` gives them, and raises
-    ``ValueError`` with shlex's message on a malformed line.
-
-    Its patterns are compiled on the first call, since only parsing needs
-    them, so importing the package for any other command does not pay for
-    them.  The cache publishes the finished tokenizer at once, so threads
-    that parse their first networks together never see half of it.
-    """
-    lexeme = re.compile(
-        rf"({_WORD})"
-        r"|#[^\n]*"  # a comment, to the end of the line
-        rf'|((?:\\|"{_DOUBLE_BODY}\\)\Z)'  # a trailing backslash, outside or inside double quotes
-        r"""|(['"]).*""",  # an unclosed quote
-        re.DOTALL,
-    )
-    decode = _word_decoder()
-
-    def split(line: str) -> list[str]:
-        tokens = []
-        for word, no_escaped, no_closing in lexeme.findall(line):
-            if word:
-                tokens.append(decode(word))
-            elif no_escaped:
-                raise ValueError("No escaped character")
-            elif no_closing:
-                raise ValueError("No closing quotation")
-        return tokens
-
-    return split
+def _decode(word: str) -> str:
+    """The token text of one raw word matched by ``_WORD``, with its quotes
+    and escapes removed."""
+    if "\\" in word or '"' in word:
+        return _PIECE.sub(_piece_text, word)
+    if "'" in word:
+        return word.replace("'", "")
+    return word
 
 
-@functools.cache
-def _line_matcher() -> Callable[[str], re.Match | None]:
-    """``match(line)``: the match of a whole ``node NAME`` or ``link A B``
-    line, or of a blank or comment line, with an optional trailing comment;
-    None for any other line.  Its groups are the raw words
-    ``(NAME, None, None)``, ``(None, A, B)`` or ``(None, None, None)``.
-    Compiled on the first parse, as the tokenizer is.
-    """
-    blank = r"[ \t\r\n]"
-    return re.compile(
-        rf"{blank}*(?:(?:node{blank}+({_WORD})|link{blank}+({_WORD}){blank}+({_WORD})){blank}*)?(?:#[^\n]*)?",
-        re.DOTALL,
-    ).fullmatch
+def _split_line(line: str) -> list[str]:
+    """The tokens of one line, as ``shlex.split(line, comments=True)`` gives
+    them; ``ValueError`` with shlex's message on a malformed line."""
+    tokens = []
+    for word, no_escaped, no_closing in _LEXEME.findall(line):
+        if word:
+            tokens.append(_decode(word))
+        elif no_escaped:
+            raise ValueError("No escaped character")
+        elif no_closing:
+            raise ValueError("No closing quotation")
+    return tokens
 
 
 def parse_network(text: str) -> NetworkSpec:
@@ -196,14 +176,14 @@ def _accept(text: str) -> NetworkSpec | None:
     try:
         # Three raw words a line: a node line's name, a link line's two
         # names, and None for each name the line does not have.
-        raw = list(chain.from_iterable(map(re.Match.groups, map(_line_matcher(), text.splitlines()))))
+        raw = list(chain.from_iterable(map(re.Match.groups, map(_match_line, text.splitlines()))))
     except TypeError:  # groups() of None: a line the matcher refuses
         return None
     # Each distinct raw word is decoded once, so a name is decoded on its
     # node line and read back on every link that uses it.
     distinct = dict.fromkeys(raw)
     distinct.pop(None, None)
-    names = dict(zip(distinct, map(_word_decoder(), distinct)))
+    names = dict(zip(distinct, map(_decode, distinct)))
     if "" in names.values():  # an empty name
         return None
     names[None] = None
@@ -266,10 +246,9 @@ def _explain(text: str) -> NetworkSpec:
     directive rules, giving its spec or a ``NetworkParseError`` that names
     its first faulty line."""
     declared = _Declared()
-    split_line = _line_splitter()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = split_line(raw)
+            tokens = _split_line(raw)
         except ValueError as exc:
             raise NetworkParseError(lineno, f"unparsable line ({exc})") from exc
         if not tokens:

@@ -24,13 +24,14 @@ one the full enumeration finds:
   in {1..D}^k, so n <= D^k + k for a graph of diameter D (Khuller,
   Raghavachari & Rosenfeld, "Landmarks in graphs", 1996).
 
-The oracle reads distance rows on demand from the graph's memo, so a search
-that finds its witness early computes only the rows it tested.  The
-diameter bound needs every row only when nothing cheaper settles it: at
-size 1 it holds exactly for paths (D = n - 1), which the degrees show, so
-the search starts at size 1 on a path and at size 2 on any other graph; at
-a larger size the eccentricity of vertex 1, at most D, settles it whenever
-it already meets the bound.
+The oracle reads distance rows on demand from the graph's memo, in two
+places only: each candidate it tests reads its own rows, and the diameter
+bound reads every row when nothing cheaper settles it.  So a search
+computes row 1 and the rows of the candidates it tested, and no other
+until it needs the diameter.  At size 1 the bound holds exactly for paths
+(D = n - 1), which the degrees show, so the search starts at size 1 on a
+path and at size 2 on any other graph; at a larger size the eccentricity
+of vertex 1, at most D, settles it whenever it already meets the bound.
 
 The oracle is one search over the sizes below a bound, with no bound.  A
 caller that holds a resolving set of size s knows the dimension is at most s,
@@ -240,8 +241,9 @@ def metric_dimension_oracle(g: Graph) -> BasisResult:
       already gives ecc(1)^k + k >= n; only otherwise is D computed, from
       every row.
 
-    Distance rows are read on demand from the graph's memo, so a search
-    that ends early computes only the rows of the candidates it tested.
+    Distance rows are read on demand from the graph's memo, by each tested
+    candidate and by the diameter step only, so a search that never needs D
+    computes row 1 and the rows of the candidates it tested, and no other.
 
     Requires a connected graph.  Before size level k reads any row, its
     diameter step included, the oracle raises ``ValueError`` when the level
@@ -280,7 +282,6 @@ def _search(g: Graph, below: int) -> BasisResult | None:
     row_of = g.distance_row  # the memo's own lookup, so map() reads rows in C
     ecc_1 = max(row_of(1))
     diameter = n - 1 if path else None
-    rows = None  # every vertex's row, once D is needed or a size has no witness
     classes, legs = _groups(g)
     # Each bound holds alone, but a vertex's leaves are both a twin class and
     # its legs, so the two sums may count the same vertices and do not add.
@@ -317,24 +318,15 @@ def _search(g: Graph, below: int) -> BasisResult | None:
         _check_level_cost(k, n)
         if ecc_1**k + k < n:
             if diameter is None:
-                rows = list(map(row_of, vertices))
-                diameter = max(map(max, rows))
+                diameter = max(map(max, map(row_of, vertices)))
             if diameter**k + k < n:
                 continue
         # The enumerations run in the same lexicographic order, so each
-        # candidate set arrives with its weights, and with its rows once the
-        # search holds every row.  Until then a candidate reads its rows
+        # candidate set arrives with its weights, and it reads its rows
         # through the memo only when the group filter lets it be tested.
-        cand_rows = itertools.repeat(None) if rows is None else itertools.combinations(rows, k)
-        for cand, landmark_rows, cand_weights in zip(
-            itertools.combinations(vertices, k), cand_rows, itertools.combinations(weights, k)
-        ):
+        for cand, cand_weights in zip(itertools.combinations(vertices, k), itertools.combinations(weights, k)):
             if (total - sum(cand_weights)) & too_few:
                 continue
-            if _resolves(zip(*(landmark_rows or map(row_of, cand))), n):
+            if _resolves(zip(*map(row_of, cand)), n):
                 return BasisResult(dimension=k, witness=cand)
-        # A search that outlives a size has read nearly every row already,
-        # and handing each candidate its rows is faster than looking them up.
-        if rows is None:
-            rows = list(map(row_of, vertices))
     return None

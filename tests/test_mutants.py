@@ -70,10 +70,22 @@ MUTANTS = [
         ["tests/test_resolve.py::test_only_paths_test_size_one"],
     ),
     (
+        "thetadim/resolve.py",
+        "_check_level_cost(k, n)",
+        "_check_level_cost(k, n); k > first and list(map(row_of, vertices))",
+        ["tests/test_resolve.py::test_a_size_without_a_witness_computes_only_the_rows_it_tests"],
+    ),
+    (
         "thetadim/network.py",
         " or sum(map(len, g.adjacency)) != 2 * len(spec.links)",
         "",
         ["tests/test_network.py::test_graph_build_names_a_bad_spec"],
+    ),
+    (
+        "thetadim/network.py",
+        '_DOUBLE_ESCAPE.sub(r"\\1", double) if "\\\\" in double else double',
+        "double",
+        ["tests/test_network.py::test_split_line_rules"],
     ),
 ]
 

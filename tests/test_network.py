@@ -27,8 +27,7 @@ from thetadim import (
 )
 from thetadim import network
 
-def _split_line(line):
-    return network._line_splitter()(line)
+_split_line = network._split_line
 
 
 TWO_NODES = """
@@ -169,17 +168,14 @@ def test_well_formed_lines_never_reach_shlex(monkeypatch):
 
 
 def test_first_line_splits_are_thread_safe():
-    # The tokenizer and its word decoder compile on the first split; threads
-    # that split their first lines together must each get all of them, quote
-    # handling included.
+    # Threads that split lines together must each get all of their tokens,
+    # quote handling included.
     line = r"""node "a \"b\"" 'c d' e\ f  # note"""
     expected = ["node", 'a "b"', "c d", "e f"]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(50):
-            network._line_splitter.cache_clear()
-            network._word_decoder.cache_clear()
             start = threading.Barrier(8)
             results = []
 

@@ -459,6 +459,30 @@ def test_oracle_reads_rows_without_the_matrix(no_matrix):
     assert metric_dimension_oracle(complete_bipartite(5, 5)).dimension == 8
 
 
+def test_a_size_without_a_witness_computes_only_the_rows_it_tests(bfs_sources, monkeypatch):
+    # K_4 with vertex 5 pendant at vertex 3: 1, 2 and 4 are true twins, so
+    # each candidate of size 2 holds two of them and fails.  Size 3 resolves
+    # at (1, 2, 3), and ecc(1)^2 + 2 >= 5 spares the diameter, so no search
+    # reads row 5.
+    tested = []
+    real = resolve._resolves
+
+    def recording(vectors, n):
+        vectors = tuple(vectors)
+        # Each landmark is the one vertex at distance 0 from itself.
+        tested.append(tuple(
+            next(v for v, vector in enumerate(vectors, start=1) if vector[j] == 0) for j in range(len(vectors[0]))
+        ))
+        return real(vectors, n)
+
+    monkeypatch.setattr(resolve, "_resolves", recording)
+    g = new_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5)])
+    assert metric_dimension_oracle(g) == BasisResult(3, (1, 2, 3))
+    assert tested == [(1, 2), (1, 4), (2, 4), (1, 2, 3)]
+    assert len(bfs_sources) == len(set(bfs_sources)) == 4
+    assert set(bfs_sources) <= {1}.union(*tested)
+
+
 def test_leg_filter_tests_only_size_m_minus_1_on_spiders(resolves_calls):
     # A spider of m legs has dimension m - 1: a vertex on all legs but one.
     # The leg bound starts the search there, and the leg filter skips every
