@@ -74,13 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("build", "print the edge list of C_{p,q,r}"),
-        ("dim", "print the case-formula dimension and its case tag"),
-        ("basis", "print the closed-form metric basis and its case tag"),
-        ("check", "test whether a vertex set resolves C_{p,q,r}"),
+    for name, handler, helptext in (
+        ("build", _cmd_build, "print the edge list of C_{p,q,r}"),
+        ("dim", _cmd_dim, "print the case-formula dimension and its case tag"),
+        ("basis", _cmd_basis, "print the closed-form metric basis and its case tag"),
+        ("check", _cmd_check, "test whether a vertex set resolves C_{p,q,r}"),
     ):
         cmd = sub.add_parser(name, help=helptext)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("p", type=int)
         cmd.add_argument("q", type=int)
         cmd.add_argument("r", type=int)
@@ -92,11 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              metavar="V1,V2,...", help="landmark candidates")
 
     cmd = sub.add_parser("sweep", help="verify formulas against the oracle over a range")
+    cmd.set_defaults(handler=_cmd_sweep)
     cmd.add_argument("--max-n", type=int, required=True)
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
     cmd.add_argument("--out", help="write the report here instead of stdout")
 
     cmd = sub.add_parser("landmarks", help="assign landmark codes to a network file")
+    cmd.set_defaults(handler=_cmd_landmarks)
     cmd.add_argument("file", help="network description file")
     return parser
 
@@ -180,16 +183,6 @@ def _cmd_landmarks(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "build": _cmd_build,
-    "dim": _cmd_dim,
-    "basis": _cmd_basis,
-    "check": _cmd_check,
-    "sweep": _cmd_sweep,
-    "landmarks": _cmd_landmarks,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -197,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

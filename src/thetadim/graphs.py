@@ -3,9 +3,11 @@
 A graph is held as its adjacency, one sorted neighbour tuple per vertex,
 built by ``new_graph``; the edge set is derived from it for listings.
 
-Each graph memoises its distance rows, one BFS per source vertex asked for.
-A BFS walks one list in visit order, level after level, appending each
-vertex as it is first reached; the list is its own queue, with no deque.
+Each graph memoises its distance rows, one BFS per source vertex asked for,
+in a ``_Memo``: a dict that computes a missing key's value on its first
+lookup, which the sweep's JSON writer uses for its array texts too.  A BFS
+walks one list in visit order, level after level, appending each vertex as
+it is first reached; the list is its own queue, with no deque.
 Resolving checks and landmark codes read only the rows of their landmarks,
 O(n·k) for k landmarks, and the exhaustive oracle reads only the rows of
 the candidates it tests.  No library code reads the all-pairs matrix; it is
@@ -57,28 +59,27 @@ class Graph:
         This is the row memo's own ``dict`` lookup, so a memoised row is read
         without a Python-level call, also through ``map(g.distance_row, ...)``.
         The all-pairs matrix shares these row objects, so a row is computed
-        by at most one BFS per graph whichever is asked for first.
+        by at most one BFS per graph whichever is asked for first.  The BFS
+        closes over the adjacency rather than the graph, so the memo and its
+        graph form no reference cycle.
         """
-        return _RowMemo(self.adjacency).__getitem__
+        adjacency = self.adjacency
+        return _Memo(lambda source: tuple(_bfs(adjacency, source))).__getitem__
 
     def is_connected(self) -> bool:
         return UNREACHABLE not in self.distance_row(1)
 
 
-class _RowMemo(dict[int, tuple[int, ...]]):
-    """Distance rows by source vertex; looking up a missing row runs its BFS.
+class _Memo(dict):
+    """Each key's value, computed by ``compute`` on the key's first lookup."""
 
-    The memo holds the adjacency rather than its graph, so the two form no
-    reference cycle.
-    """
-
-    def __init__(self, adjacency: tuple[tuple[int, ...], ...]):
+    def __init__(self, compute: Callable[[object], object]):
         super().__init__()
-        self.adjacency = adjacency
+        self.compute = compute
 
-    def __missing__(self, source: int) -> tuple[int, ...]:
-        row = self[source] = tuple(_bfs(self.adjacency, source))
-        return row
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,7 +74,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from .closed_form import _closed_form
-from .graphs import Graph
+from .graphs import Graph, _Memo
 from .resolve import _minimal, _resolves, _search, _valid_landmarks
 from .theta import _class_labels, _swap, build_c, validate_params
 
@@ -328,18 +328,6 @@ _CSV_COLUMNS = tuple(
 )
 
 
-class _Memo(dict):
-    """Each key's value, computed by ``compute`` on the key's first lookup."""
-
-    def __init__(self, compute: Callable[[object], object]):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 @functools.cache
 def _object_code(cls) -> tuple[types.CodeType, dict[str, typing.Any]]:
     """The code of the JSON writer of the report dataclass ``cls``, compiled
@@ -536,8 +524,10 @@ def _reader(hint) -> Callable[[object], object]:
 
 def parse_report(text: str) -> SweepReport:
     """Rebuild a report from its JSON serialization (the round-trip inverse);
-    raises ``ValueError`` on any other text, including a report whose summary
-    does not tally with its records."""
+    raises ``ValueError`` on text whose JSON, schema, filters, keys or value
+    types are not a report's, or whose summary does not tally with its
+    records.  A record's content is not checked: an n other than p + q + r
+    is read as written."""
     import json
 
     payload = json.loads(text)

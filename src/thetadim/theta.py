@@ -4,17 +4,16 @@ A theta graph consists of two degree-3 hubs joined by three internally
 disjoint paths.  The ``C_{p,q,r}`` parameterization counts vertices per
 path: ``p`` and ``r`` count the internal vertices of the two outer paths,
 while ``q`` counts the middle path including both hubs.  Canonical labels
-follow a fixed layout:
+follow a fixed layout, hub a = v_{p+1} and hub b = v_{p+q}, with three
+chains from hub a, through their internal vertices in order, to hub b:
 
-    outer one   v_1 .. v_p                (v_1 adjacent to hub a)
-    middle      v_{p+1} .. v_{p+q}        (hub a = v_{p+1}, hub b = v_{p+q})
-    outer two   v_{p+q+1} .. v_{p+q+r}    (v_{p+q+1} adjacent to hub a)
+    outer one   a, v_1 .. v_p, b
+    middle      a, v_{p+2} .. v_{p+q-1}, b
+    outer two   a, v_{p+q+1} .. v_{p+q+r}, b
 
-plus connector edges {v_{p+1}, v_1}, {v_p, v_{p+q}}, {v_{p+1}, v_{p+q+1}}
-and {v_{p+q+r}, v_{p+q}}.  When an outer count is zero its two connectors
-collapse into a single hub-hub edge, keeping the remaining labels
-contiguous.  ``detect_theta`` recognizes a theta graph under any labels and
-lists its original labels in this layout's order.
+A chain with no internal vertex is the hub-hub edge.  ``detect_theta``
+recognizes a theta graph under any labels and lists its original labels in
+this layout's order.
 """
 
 from __future__ import annotations
@@ -84,24 +83,15 @@ def _require_valid(p: int, q: int, r: int) -> None:
 
 
 def build_c(p: int, q: int, r: int) -> Graph:
-    """Construct ``C_{p,q,r}`` with canonical labels; n vertices, n+1 edges."""
+    """Construct ``C_{p,q,r}`` with canonical labels, chain by chain; n
+    vertices, n+1 edges."""
     _require_valid(p, q, r)
-    n = p + q + r
     hub_a, hub_b = p + 1, p + q
     edges: list[tuple[int, int]] = []
-    for start, count in ((1, p), (p + 1, q), (p + q + 1, r)):
-        edges.extend((v, v + 1) for v in range(start, start + count - 1))
-    if p > 0:
-        edges.append((hub_a, 1))
-        edges.append((p, hub_b))
-    else:
-        edges.append((hub_a, hub_b))
-    if r > 0:
-        edges.append((hub_a, p + q + 1))
-        edges.append((p + q + r, hub_b))
-    else:
-        edges.append((hub_a, hub_b))
-    return new_graph(n, edges)
+    for internal in (range(1, p + 1), range(p + 2, p + q), range(p + q + 1, p + q + r + 1)):
+        chain = (hub_a, *internal, hub_b)
+        edges.extend(zip(chain, chain[1:]))
+    return new_graph(p + q + r, edges)
 
 
 def to_theta_lengths(p: int, q: int, r: int) -> tuple[int, int, int]:

@@ -135,6 +135,49 @@ def test_path_length_predicate_is_independent_of_the_dispatch(monkeypatch):
         dimension_by_path_lengths(1, 2, 0)
 
 
+def swaps_outer_paths(p, q, r):
+    """Whether the dispatch swaps the outer paths, by the rule in the
+    caller's labels."""
+    if p == r:
+        return False
+    if p == 0 or r == 0:  # an empty outer path
+        return p == 0
+    if q in (p, r):  # an outer path ties the middle
+        return r == q
+    return r > p
+
+
+#: Each tag's region as linear constraints in the dispatch labels, with
+#: d = q - r: a second statement of the dispatch, kept apart from it.
+TAG_REGIONS = {
+    "ZeroPath-P1": lambda p, q, r, d: r == 0 and p == 1,
+    "ZeroPath-P2": lambda p, q, r, d: r == 0 and p >= 2,
+    "T4-P1": lambda p, q, r, d: p == r >= 1 and d in (2, 4),
+    "T4-P2": lambda p, q, r, d: p == r >= 1 and (d == 3 or d >= 5),
+    "T4-P3a": lambda p, q, r, d: p == r >= 1 and d == 1,
+    "T4-P3b": lambda p, q, r, d: p == r >= 1 and d <= 0,
+    "T2-P1": lambda p, q, r, d: p == q and r >= 1 and r != p and d <= 1,
+    "T2-P2": lambda p, q, r, d: p == q and r >= 1 and r != p and d == 2,
+    "T2-P3": lambda p, q, r, d: p == q and r >= 1 and r != p and d >= 3,
+    "T1-P1": lambda p, q, r, d: q > p > r >= 1 and d == 2,
+    "T1-P2": lambda p, q, r, d: q > p > r >= 1 and d != 2 and p - r == 1,
+    "T1-P3": lambda p, q, r, d: q > p > r >= 1 and d != 2 and p - r >= 2,
+    "T3-P1": lambda p, q, r, d: p > q and p > r >= 1 and q != r and d <= 1,
+    "T3-P2": lambda p, q, r, d: p > q and p > r >= 1 and q != r and d == 2,
+    "T3-P3": lambda p, q, r, d: p > q and p > r >= 1 and q != r and d >= 3,
+}
+
+
+def test_tag_regions_state_the_dispatch():
+    assert sorted(TAG_REGIONS) == sorted(CASE_TAGS)
+    for p, q, r in valid_triples(60):
+        swapped = swaps_outer_paths(p, q, r)
+        params = (r, q, p) if swapped else (p, q, r)
+        tags = [tag for tag, inside in TAG_REGIONS.items() if inside(*params, params[1] - params[2])]
+        assert len(tags) == 1, (p, q, r, tags)
+        assert closed_form._dispatch(p, q, r) == (tags[0], params, swapped), (p, q, r)
+
+
 def test_dimension_three_families():
     for p in range(2, 8):  # every instance with at most 20 vertices
         if 3 * p - 1 <= 20:

@@ -64,6 +64,18 @@ MUTANTS = [
         ["tests/test_graphs.py::test_new_graph_builds_the_adjacency_of_its_edge_list"],
     ),
     (
+        "thetadim/graphs.py",
+        "value = self[key] = self.compute(key)",
+        "value = self.compute(key)",
+        ["tests/test_resolve.py::test_a_size_without_a_witness_computes_only_the_rows_it_tests"],
+    ),
+    (
+        "thetadim/theta.py",
+        "range(p + q + 1, p + q + r + 1)",
+        "reversed(range(p + q + 1, p + q + r + 1))",
+        ["tests/test_theta.py::test_route_lemma_gives_every_distance[24]"],
+    ),
+    (
         "thetadim/resolve.py",
         " and sum(degrees) == 2 * n - 2",
         "",

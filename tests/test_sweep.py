@@ -443,10 +443,14 @@ def test_json_report_is_the_standard_encoders_text(report):
 
 def test_json_writer_keeps_no_array_text_past_the_report():
     # Each report memoises its own int-array texts, so a second report, as
-    # in a benchmark's repeated operations, starts from an empty memo.
+    # in a benchmark's repeated operations, starts from an empty memo.  A
+    # graph's row memo is a _Memo too, so only memos of text are counted.
     text = emit_report(sweep(8))
     gc.collect()
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, sweep_module._Memo)]
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, sweep_module._Memo) and any(isinstance(value, str) for value in obj.values())
+    ]
     assert emit_report(sweep(8)) == text
 
 

@@ -122,6 +122,41 @@ def test_class_labels_map_each_triple_onto_its_class_graph():
         assert mapped == build_c(*key).edges, (p, q, r)
 
 
+def route_lemma_distances(p, q, r):
+    """Every distance of C_{p,q,r} by the route lemma, as rows indexed like
+    BFS rows, from the layout alone.
+
+    The chains from hub a to hub b have L = (p + 1, q - 1, r + 1) edges, and
+    H = min(L).  A vertex at position i on chain X (i edges from hub a) has
+    d(u, a) = min(i, L_X - i + H) and d(u, b) = min(L_X - i, i + H).  Two
+    vertices meet through a or through b, and on one chain also along it.
+    Hubs are placed on the middle chain, at 0 and L_2.
+    """
+    lengths = (p + 1, q - 1, r + 1)
+    h = min(lengths)
+    n = p + q + r
+    # (chain, position) of each vertex, in label order.
+    places = [(0, v) if v <= p else (1, v - p - 1) if v <= p + q else (2, v - p - q) for v in range(1, n + 1)]
+    to_hubs = [(min(i, lengths[x] - i + h), min(lengths[x] - i, i + h)) for x, i in places]
+    rows = []
+    for (x, i), (ua, ub) in zip(places, to_hubs):
+        row = []
+        for (y, j), (wa, wb) in zip(places, to_hubs):
+            d = min(ua + wa, ub + wb)
+            row.append(min(d, abs(i - j)) if x == y else d)
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("max_n", [24, pytest.param(30, marks=pytest.mark.slow)])
+def test_route_lemma_gives_every_distance(max_n):
+    # A statement of the layout independent of build_c: every vertex pair's
+    # BFS distance is the route lemma's.
+    for p, q, r in valid_triples(max_n):
+        g = build_c(p, q, r)
+        assert list(map(g.distance_row, range(1, g.n + 1))) == route_lemma_distances(p, q, r), (p, q, r)
+
+
 def test_swapped_builds_share_degree_and_distance_profiles():
     from thetadim import all_pairs
 
