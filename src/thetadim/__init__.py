@@ -43,7 +43,6 @@ from .sweep import (
     TableMismatch,
     check_triple,
     emit_report,
-    parse_report,
     sweep,
     valid_triples,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "network_graph",
     "new_graph",
     "parse_network",
-    "parse_report",
     "representation",
     "sweep",
     "to_theta_lengths",

@@ -3,15 +3,17 @@
 Every command has a bounded cost.  ``build``, ``check`` and ``dim --oracle``
 refuse a graph above ``MAX_ORDER`` vertices before building it, ``sweep`` a
 range above ``MAX_SWEEP_N`` = 40, a sweep of a few seconds, and
-``landmarks`` a file above ``MAX_NETWORK_BYTES`` before parsing it.  The
+``landmarks`` a file above ``MAX_NETWORK_BYTES`` before parsing it and a
+network above ``MAX_ORDER`` nodes before assigning its landmarks.  The
 exhaustive oracle, which ``dim --oracle``, ``sweep`` and ``landmarks`` on a
 non-theta network run, refuses any search level whose C(n, k) candidates of
 n vertices each are over its work budget, ``resolve.ORACLE_LEVEL_BUDGET``.
 
 Exit codes: 0 on success, 1 on domain errors (invalid parameters, a
 non-resolving set reported by ``check``, disconnected networks, a graph,
-range or network file above its limit, an oracle search over its budget),
-2 on usage and parse errors and on files that cannot be read or written.
+range, network file or network above its limit, an oracle search over its
+budget), 2 on usage and parse errors and on files that cannot be read or
+written.
 All structured output is line-oriented and stable, so it can be pinned by
 golden-file tests.
 """
@@ -29,8 +31,9 @@ from .resolve import is_minimal_resolving, metric_dimension_oracle, unresolved_p
 from .sweep import emit_report, sweep
 from .theta import build_c
 
-#: Largest order ``build``, ``check`` and ``dim --oracle`` accept; ``build``
-#: prints all n + 1 edges and ``check`` runs one BFS per landmark, O(n·k).
+#: Largest order ``build``, ``check``, ``dim --oracle`` and ``landmarks``
+#: accept; ``build`` prints all n + 1 edges and ``check`` runs one BFS per
+#: landmark, O(n·k).
 MAX_ORDER = 2000
 
 #: Largest ``sweep --max-n``.  The sweep builds one graph per isomorphism
@@ -175,6 +178,8 @@ def _cmd_landmarks(args) -> int:
     except NetworkParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if len(spec.nodes) > MAX_ORDER:
+        raise ValueError(f"network order {len(spec.nodes)} exceeds the size limit {MAX_ORDER}")
     table = assign_landmarks(spec)
     print("method", table.method, sep="\t")
     print("landmarks", *table.landmarks, sep="\t")

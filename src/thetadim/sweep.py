@@ -58,8 +58,8 @@ report; no text is kept from one report to the next.  Per-record
 wall-clock times are kept in memory for diagnostics but excluded from both
 serialization and equality, so identical ranges produce byte-identical
 reports.  The standard library's ``json``, ``csv`` and ``io`` are imported
-by the code that writes or reads a report, so importing the package does
-not load them.
+by the code that writes a report, so importing the package does not
+load them.
 """
 
 from __future__ import annotations
@@ -467,83 +467,3 @@ def emit_report(report: SweepReport, fmt: str = "json") -> str:
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
 
-
-@functools.cache
-def _reader(hint) -> Callable[[object], object]:
-    """The function that reads a JSON value as an instance of the annotation
-    ``hint``, built once per annotation.
-
-    Arrays become tuples (every tuple field is a ``tuple[T, ...]``) and
-    objects become dataclasses, whose keys are exactly the fields that take
-    part in equality.  A reader raises ``KeyError`` when a field is missing,
-    and ``TypeError`` when a value is not of its annotated type (``bool`` is
-    not an ``int`` here) or an object has a key that is no field.
-    """
-    if is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
-        readers = {name: _reader(hints[name]) for name in _report_fields(hint)}
-
-        def read_object(value):
-            if not isinstance(value, dict):
-                raise TypeError(f"{hint.__name__} is not a JSON object: {value!r}")
-            if unknown := value.keys() - readers.keys():
-                raise TypeError(f"unknown {hint.__name__} keys {sorted(unknown)}")
-            return hint(**{name: read(value[name]) for name, read in readers.items()})
-
-        return read_object
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        read_item = _reader(args[0])
-
-        def read_array(value):
-            if not isinstance(value, list):
-                raise TypeError(f"expected a JSON array, got {value!r}")
-            return tuple(map(read_item, value))
-
-        return read_array
-    if origin is types.UnionType:  # X | None
-        options = tuple(map(_reader, args))
-
-        def read_union(value):
-            for read in options:
-                try:
-                    return read(value)
-                except TypeError:
-                    pass
-            raise TypeError(f"expected {hint}, got {value!r}")
-
-        return read_union
-
-    def read_leaf(value):
-        if type(value) is not hint:
-            raise TypeError(f"expected {hint.__name__}, got {value!r}")
-        return value
-
-    return read_leaf
-
-
-def parse_report(text: str) -> SweepReport:
-    """Rebuild a report from its JSON serialization (the round-trip inverse);
-    raises ``ValueError`` on text whose JSON, schema, filters, keys or value
-    types are not a report's, or whose summary does not tally with its
-    records.  A record's content is not checked: an n other than p + q + r
-    is read as written."""
-    import json
-
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("report is not a JSON object")
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(f"unexpected report schema {payload.get('schema')!r}")
-    try:
-        if payload["filters"] is not None:
-            raise ValueError(f"unexpected report filters {payload['filters']!r}")
-        report = _reader(SweepReport)({f.name: payload[f.name] for f in fields(SweepReport)})
-        summary = _reader(SweepSummary)(payload["summary"])
-        if unknown := payload.keys() - {"schema", "max_n", "filters", "summary", "records"}:
-            raise TypeError(f"unknown report keys {sorted(unknown)}")
-    except (KeyError, TypeError) as exc:  # a missing key, a value of the wrong type or an unknown key
-        raise ValueError(f"malformed report: {exc!r}") from exc
-    if summary != report.summary:
-        raise ValueError(f"report summary {summary} does not tally with its records, which give {report.summary}")
-    return report

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetadim import closed_form_basis, field_network_text
+from thetadim import build_c, closed_form_basis, field_network_text
 from thetadim import cli
 from thetadim.cli import main
 
@@ -205,6 +205,33 @@ def test_landmarks_refuses_a_file_over_the_size_limit_unparsed(tmp_path, capsys,
     code, out, err = run(capsys, "landmarks", str(net))
     assert (code, out) == (1, "")
     assert err == f"error: network file {net} exceeds the size limit {cli.MAX_NETWORK_BYTES} bytes\n"
+
+
+def _theta_network(p, q, r):
+    """The network text of ``C_{p,q,r}``, one node per vertex."""
+    g = build_c(p, q, r)
+    return "".join(f"node v{v}\n" for v in range(1, g.n + 1)) + "".join(f"link v{u} v{v}\n" for u, v in g.edges)
+
+
+def test_landmarks_codes_a_network_at_the_order_limit(tmp_path, capsys):
+    net = tmp_path / "limit.net"
+    net.write_text(_theta_network(1000, 998, 2))
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "method\tclosed-form (T3-P1)"
+    assert len(lines) == 2 + cli.MAX_ORDER
+
+
+def test_landmarks_refuses_a_network_over_the_order_limit_uncoded(tmp_path, capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"coded {len(spec.nodes)} nodes")
+    monkeypatch.setattr("thetadim.network.assign_landmarks", refuse)
+    net = tmp_path / "over.net"
+    net.write_text(_theta_network(1000, 999, 2))
+    code, out, err = run(capsys, "landmarks", str(net))
+    assert (code, out) == (1, "")
+    assert err == f"error: network order {cli.MAX_ORDER + 1} exceeds the size limit {cli.MAX_ORDER}\n"
 
 
 # two spellings of each node name: the node line uses the first, links either
