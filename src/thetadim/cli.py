@@ -47,10 +47,11 @@ MAX_ORDER = 2000
 MAX_SWEEP_N = 40
 
 #: Largest network file ``landmarks`` reads, in bytes.  Parsing and coding a
-#: network take time and memory linear in its file: a 6.1 MB theta network of
-#: 200,002 nodes ran for 3.8 s at a 161 MB peak RSS.  A file of this size
-#: holds about 35,000 theta nodes, and the benchmark's largest network of
-#: 1,500 nodes takes about 45 KB.
+#: network take time and memory linear in its file: the command's steps,
+#: run without its limits on a 6.5 MB shuffled theta network of 200,002
+#: nodes, took 3.4 s at a 150 MB peak RSS (2-CPU x86-64 host, CPython 3.11).
+#: A file of this size holds about 32,000 such nodes, and the benchmark's
+#: largest network of 1,500 nodes takes about 45 KB.
 MAX_NETWORK_BYTES = 1 << 20
 
 

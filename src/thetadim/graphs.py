@@ -9,11 +9,13 @@ lookup, which the sweep's JSON writer uses for its array texts too.  A BFS
 walks one list in visit order, level after level, appending each vertex as
 it is first reached; the list is its own queue, with no deque.
 Resolving checks and landmark codes read only the rows of their landmarks,
-O(n·k) for k landmarks, and the exhaustive oracle reads only the rows of
-the candidates it tests.  No library code reads the all-pairs matrix; it is
-built from the same rows for callers that want every distance.  Rows and
-matrices are tuples, frozen after construction, so graphs are safe to share
-across threads (a race can compute a row twice, never a wrong one).
+O(n·k) for k landmarks; a theta network runs no other BFS, since theta
+recognition proves it connected without one.  The exhaustive oracle reads
+only the rows of the candidates it tests.  No library code reads the
+all-pairs matrix; it is built from the same rows for callers that want
+every distance.  Rows and matrices are tuples, frozen after construction,
+so graphs are safe to share across threads (a race can compute a row
+twice, never a wrong one).
 """
 
 from __future__ import annotations

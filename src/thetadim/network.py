@@ -30,10 +30,13 @@ cannot contain a line break (``\n``, ``\x0b``, ``\x0c``, ``\x85``,
 every line once against one pattern (a ``node NAME`` or ``link A B`` line,
 or a blank or comment line, each with an optional trailing comment),
 mapping the matcher over the lines at C level, and stops at the first line
-that does not match.  It decodes each distinct raw word (quotes and escapes
-removed) once per parse, then checks the whole spec with set and dict
-operations: node names non-empty and unique, each link's two names declared
-on earlier lines, no self-link and no link repeated in either orientation.
+that does not match.  It slices the matched words into three columns (each
+line's node name and its link's two names), drops from each column the
+lines that have no such word, and decodes each distinct raw word (quotes
+and escapes removed) once per parse.  It then checks the whole spec with
+set and dict operations: node names non-empty and unique, each link's two
+names declared on earlier lines, no self-link and no link repeated in
+either orientation.
 A text that passes is accepted there and then.  Any other text goes to the
 explain step, which reads it line by line by the tokenizer and the
 directive rules, and either returns its spec (a quoted directive, say) or
@@ -55,6 +58,9 @@ closed-form case formulas when the network is a theta graph, otherwise
 through the exhaustive oracle — and gives every node its distance-vector
 code relative to the landmarks.  Codes are read from the k landmarks' BFS
 rows, O(n·k), so the theta fast path never builds the all-pairs matrix.
+It runs no other BFS either: ``detect_theta`` proves a theta network
+connected by walking its hub-to-hub chains, and only a network that is not
+a theta graph gets the one-BFS connectivity check of ``network_graph``.
 Codes are pairwise distinct by definition of a resolving set, and that
 property is re-checked on every call rather than trusted.
 """
@@ -170,8 +176,10 @@ def _accept(text: str) -> NetworkSpec | None:
     other text.
 
     Every line is matched once, at C level, and the spec is then checked as
-    a whole by set and dict operations.  Nothing here names a fault; for a
-    text refused here, ``_explain`` does.
+    a whole by set and dict operations, column by column: only the words a
+    line holds are decoded and looked up, not the Nones of the names it
+    lacks.  Nothing here names a fault; for a text refused here,
+    ``_explain`` does.
     """
     try:
         # Three raw words a line: a node line's name, a link line's two
@@ -179,28 +187,31 @@ def _accept(text: str) -> NetworkSpec | None:
         raw = list(chain.from_iterable(map(re.Match.groups, map(_match_line, text.splitlines()))))
     except TypeError:  # groups() of None: a line the matcher refuses
         return None
+    # The columns: each line's node name, link's first name and second name.
+    named, firsts, seconds = raw[0::3], raw[1::3], raw[2::3]
+    # The indexes of the link lines, read once for each end.
+    link_lines = list(compress(count(), firsts))
+    # A raw word is never empty, so filter drops only the Nones of the
+    # lines without that name.
+    raw_nodes, raw_a, raw_b = list(filter(None, named)), list(filter(None, firsts)), list(filter(None, seconds))
     # Each distinct raw word is decoded once, so a name is decoded on its
-    # node line and read back on every link that uses it.
-    distinct = dict.fromkeys(raw)
-    distinct.pop(None, None)
+    # node line and read back on every link that spells it the same way.
+    distinct = dict.fromkeys(chain(raw_nodes, raw_a, raw_b))
     names = dict(zip(distinct, map(_decode, distinct)))
     if "" in names.values():  # an empty name
         return None
-    names[None] = None
-    words = list(map(names.__getitem__, raw))
-    named, firsts, seconds = words[0::3], words[1::3], words[2::3]
-    nodes = list(filter(None, named))
+    nodes = list(map(names.__getitem__, raw_nodes))
+    a, b = list(map(names.__getitem__, raw_a)), list(map(names.__getitem__, raw_b))
     # The index of the line that declares each node.
     declared = dict(zip(nodes, compress(count(), named)))
-    a, b = list(filter(None, firsts)), list(filter(None, seconds))
     links = tuple(zip(a, b))
     linked = set(links)
     undeclared = len(named)  # past every line, for a name no line declares
     if (
         len(declared) != len(nodes)  # a duplicate node
         # a link to a node declared on a later line or on none
-        or not all(map(lt, map(declared.get, a, repeat(undeclared)), compress(count(), firsts)))
-        or not all(map(lt, map(declared.get, b, repeat(undeclared)), compress(count(), firsts)))
+        or not all(map(lt, map(declared.get, a, repeat(undeclared)), link_lines))
+        or not all(map(lt, map(declared.get, b, repeat(undeclared)), link_lines))
         or len(linked) != len(a)  # a link repeated in one orientation
         # or in both, or a self-link, which is its own reverse
         or not linked.isdisjoint(zip(b, a))
@@ -296,12 +307,23 @@ def format_network(spec: NetworkSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+_DISCONNECTED = "network graph is disconnected"
+
+
 def network_graph(spec: NetworkSpec) -> Graph:
     """Labelled graph of the network (node i of the declaration order is
     vertex i).  Raises ``ValueError`` when the network declares no node or
     a node twice, links an undeclared node or a node to itself, repeats a
     link in either orientation, or is disconnected; a bad node or link gets
     the message ``format_network`` gives it."""
+    g = _build_graph(spec)
+    if not g.is_connected():
+        raise ValueError(_DISCONNECTED)
+    return g
+
+
+def _build_graph(spec: NetworkSpec) -> Graph:
+    """``network_graph`` without its connectivity check, which runs a BFS."""
     if not spec.nodes:
         raise ValueError("network declares no nodes")
     index = {name: i for i, name in enumerate(spec.nodes, start=1)}
@@ -313,8 +335,6 @@ def network_graph(spec: NetworkSpec) -> Graph:
     # a node declared twice, or a link repeated in either orientation (counted once)
     if len(index) != len(spec.nodes) or sum(map(len, g.adjacency)) != 2 * len(spec.links):
         _Declared(spec.nodes, spec.links)
-    if not g.is_connected():
-        raise ValueError("network graph is disconnected")
     return g
 
 
@@ -324,14 +344,19 @@ def assign_landmarks(spec: NetworkSpec) -> LandmarkTable:
     Theta-shaped networks take the closed-form fast path (method records the
     case tag); everything else falls back to the exhaustive oracle, which
     raises ``ValueError`` when a search level is over its work budget.
+    Raises ``ValueError`` as ``network_graph`` does for a bad or
+    disconnected spec.  ``detect_theta`` proves a theta network connected
+    without a BFS, so such a network runs one BFS per landmark and no other.
     """
-    g = network_graph(spec)
+    g = _build_graph(spec)
     shape = detect_theta(g)
     if shape is not None:
         params = shape.params
         result = closed_form_basis(params.p, params.q, params.r)
         basis = sorted(shape.labels[b - 1] for b in result.basis)
         method = f"closed-form ({result.case.tag})"
+    elif not g.is_connected():
+        raise ValueError(_DISCONNECTED)
     else:
         oracle = metric_dimension_oracle(g)
         basis = sorted(oracle.witness)

@@ -140,24 +140,30 @@ def _hub_chains(g: Graph) -> tuple[int, int, list[tuple[int, ...]]] | None:
 
     Each chain is the tuple of its internal (degree-2) vertices ordered away
     from ``hub_a``.  Rejects anything that is not a theta graph: wrong degree
-    sequence, disconnected input, or two cycles hanging off the same hub (a
-    chain walking back to its start).  Degrees in {2, 3} with exactly two
-    hubs of degree 3 make n + 1 edges, so the edge count needs no test.
+    sequence, a chain walking back to its start (two cycles hanging off the
+    same hub), or chains that miss a vertex (a disconnected input).  Degrees
+    in {2, 3} with exactly two hubs of degree 3 make n + 1 edges, so the
+    edge count needs no test.
+
+    The walks prove connectivity, so no BFS runs.  The degree test leaves
+    every vertex but the hubs with degree 2, so each walk from hub a is a
+    simple path that stops at the first hub it reaches.  Two walks that met at a vertex would retrace each
+    other from there back to hub a, that is, one of them would walk back to
+    its start, which is refused.  So three walks that end at hub b and
+    hold n - 2 internal vertices between them cover the graph.
     """
     n = g.n
     adj = g.adjacency
-    degrees = list(map(len, adj[1:]))
-    hubs = [v for v, d in enumerate(degrees, start=1) if d == 3]
-    if len(hubs) != 2 or any(d not in (2, 3) for d in degrees):
+    degrees = list(map(len, adj))  # degrees[0] is the 0 of the unused adj[0]
+    if degrees.count(3) != 2 or degrees.count(2) != n - 2:
         return None
-    if not g.is_connected():
-        return None
-    hub_a, hub_b = hubs
+    hub_a = degrees.index(3)
+    hub_b = degrees.index(3, hub_a + 1)
     chains: list[tuple[int, ...]] = []
     for first in adj[hub_a]:
         chain: list[int] = []
         prev, cur = hub_a, first
-        while len(adj[cur]) == 2:
+        while cur != hub_b and cur != hub_a:  # a vertex of degree 2
             chain.append(cur)
             x, y = adj[cur]
             prev, cur = cur, (y if x == prev else x)
@@ -177,7 +183,8 @@ def detect_theta(g: Graph) -> ThetaShape | None:
     with the smaller original label), which is the parameterization the
     closed-form dispatcher consumes.
     Returns None when ``g`` is not a theta graph; that outcome is a result,
-    not an error.
+    not an error.  It reads no distance row: the hub-to-hub walks of
+    ``_hub_chains`` prove that the graph is connected.
     """
     probe = _hub_chains(g)
     if probe is None:

@@ -76,6 +76,18 @@ MUTANTS = [
         ["tests/test_theta.py::test_route_lemma_gives_every_distance[24]"],
     ),
     (
+        "thetadim/theta.py",
+        "2 + sum(len(c) for c in chains) != n",
+        "False",
+        ["tests/test_theta.py::test_detect_rejects_disconnected"],
+    ),
+    (
+        "thetadim/theta.py",
+        " or degrees.count(2) != n - 2",
+        "",
+        ["tests/test_theta.py::test_detect_rejects_degrees_outside_two_and_three"],
+    ),
+    (
         "thetadim/resolve.py",
         " and sum(degrees) == 2 * n - 2",
         "",

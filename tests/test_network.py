@@ -80,6 +80,38 @@ def test_parse_rejects_malformed(text):
         parse_network(text)
 
 
+EMPTY = NetworkSpec(nodes=(), links=())
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("", EMPTY),
+        ("\n\n", EMPTY),
+        ("# one\n  # two\n#\n", EMPTY),
+        ("node a\nnode 'b c'\n", NetworkSpec(nodes=("a", "b c"), links=())),
+        ("node a\nlink a b\nnode b\n", "line 2: unknown node 'b'"),
+        (
+            "node 'a b'\nnode c\nnode d\nlink \"a b\" c\nlink d a\\ b\n",
+            NetworkSpec(nodes=("a b", "c", "d"), links=(("a b", "c"), ("d", "a b"))),
+        ),
+    ],
+    ids=["empty", "blank-lines", "comments-only", "nodes-only", "link-before-node", "three-spellings"],
+)
+def test_accept_and_explain_agree_on_corner_texts(text, expected):
+    """The accept step gives the explain step's spec, or refuses a text
+    that the explain step names a fault of."""
+    if isinstance(expected, NetworkSpec):
+        assert network._accept(text) == expected
+        assert network._explain(text) == expected
+    else:
+        assert network._accept(text) is None
+        with pytest.raises(NetworkParseError, match=f"^{expected}$"):
+            network._explain(text)
+        with pytest.raises(NetworkParseError, match=f"^{expected}$"):
+            parse_network(text)
+
+
 def test_comments_and_blank_lines_ignored():
     spec = parse_network("# header\n\nnode a  # trailing\nnode b\nlink a b\n")
     assert spec.nodes == ("a", "b")
@@ -509,6 +541,26 @@ def test_graph_build_format_and_parse_name_the_same_fault(spec):
         assert str(exc) == "network graph is disconnected"
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        NetworkSpec(nodes=("a", "b", "c", "d"), links=(("a", "b"), ("c", "d"))),
+        # a theta component beside a separate cycle: right degrees, but the
+        # hub-to-hub chains miss the cycle's vertices
+        NetworkSpec(
+            nodes=tuple("abcdefgh"),
+            links=(("a", "b"), ("b", "c"), ("a", "d"), ("d", "c"), ("a", "e"), ("e", "c"),
+                   ("f", "g"), ("g", "h"), ("h", "f")),
+        ),
+    ],
+    ids=["two-paths", "theta-and-cycle"],
+)
+def test_landmarks_refuse_a_disconnected_network(spec):
+    for call in (network_graph, assign_landmarks):
+        with pytest.raises(ValueError, match="^network graph is disconnected$"):
+            call(spec)
+
+
 def test_graph_build_rejects_empty():
     with pytest.raises(ValueError):
         network_graph(NetworkSpec(nodes=(), links=()))
@@ -568,6 +620,20 @@ def test_oversized_non_theta_network_rejected(bfs_sources):
         assign_landmarks(spec)
     assert bfs_sources == [1]
     assert assign_landmarks(path_spec(30)).landmarks == ("n1",)
+
+
+def test_theta_network_runs_bfs_only_from_its_landmarks(bfs_sources):
+    g = build_c(40, 7, 25)
+    labels = list(range(1, g.n + 1))
+    random.Random(5).shuffle(labels)
+    spec = NetworkSpec(
+        nodes=tuple(f"v{v}" for v in labels),
+        links=tuple((f"v{u}", f"v{v}") for u, v in sorted(g.edges)),
+    )
+    table = assign_landmarks(spec)
+    assert table.method.startswith("closed-form")
+    index = {name: v for v, name in enumerate(spec.nodes, start=1)}
+    assert bfs_sources == [index[name] for name in table.landmarks]
 
 
 def test_theta_landmark_codes_come_from_landmark_rows_only(no_matrix):

@@ -188,6 +188,33 @@ def test_detect_rejects_disconnected():
     assert detect_theta(g) is None
 
 
+def test_detect_rejects_degrees_outside_two_and_three():
+    # Two hubs of degree 3 and a walk that reaches a vertex of another
+    # degree: a leaf at the end of a pendant path, or a degree-4 vertex on a
+    # chain.  The degree test refuses both before any walk starts.
+    leaves = new_graph(9, [(i, i % 6 + 1) for i in range(1, 7)] + [(1, 7), (7, 8), (4, 9)])
+    four = new_graph(10, list(build_c(2, 4, 2).edges) + [(1, 9), (9, 10), (10, 1)])
+    assert sorted(map(len, four.adjacency[1:])).count(3) == 2
+    assert detect_theta(leaves) is None
+    assert detect_theta(four) is None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_c(5, 3, 4),
+        relabel(build_c(3, 5, 3), {v: (5 * v) % 11 + 1 for v in range(1, 12)}),
+        new_graph(8, list(build_c(1, 3, 1).edges) + [(6, 7), (7, 8), (8, 6)]),
+    ],
+    ids=["canonical", "relabelled", "theta-plus-triangle"],
+)
+def test_detect_runs_no_bfs(bfs_sources, g):
+    # The hub-to-hub walks prove connectivity, so no distance row is read,
+    # whether the graph is a theta graph or a theta graph plus a component.
+    detect_theta(g)
+    assert bfs_sources == []
+
+
 def test_detect_shuffled_complete_bipartite():
     base = build_c(1, 3, 1)
     mapping = {1: 4, 2: 2, 3: 5, 4: 1, 5: 3}
