@@ -10,7 +10,13 @@ The network names (``parse_network``, ``assign_landmarks`` and the rest of
 network does not import the parser; each one is then stored in the package
 namespace like an eager export.  Every other export is imported with the
 package.
+
+``__all__`` is not a second list of these names.  It is formed from the
+package namespace: every public name that the imports below bind, except
+the submodules that they bind as well, plus the network names.
 """
+
+import types
 
 from .closed_form import (
     ClosedFormResult,
@@ -70,49 +76,11 @@ _NETWORK_NAMES = frozenset({
     "parse_network",
 })
 
-__all__ = [
-    "UNREACHABLE",
-    "BasisResult",
-    "ClosedFormResult",
-    "DistanceMatrix",
-    "Graph",
-    "InvalidParamsError",
-    "LandmarkTable",
-    "NetworkParseError",
-    "NetworkSpec",
-    "SweepRecord",
-    "SweepReport",
-    "SweepSummary",
-    "TableMismatch",
-    "TheoremCase",
-    "ThetaParams",
-    "ThetaShape",
-    "all_pairs",
-    "assign_landmarks",
-    "bfs_distances",
-    "build_c",
-    "check_triple",
-    "closed_form_basis",
-    "detect_theta",
-    "dimension_by_path_lengths",
-    "dispatch_case",
-    "emit_report",
-    "field_network_text",
-    "format_network",
-    "formula_representation",
-    "is_minimal_resolving",
-    "is_resolving",
-    "metric_dimension_oracle",
-    "network_graph",
-    "new_graph",
-    "parse_network",
-    "representation",
-    "sweep",
-    "to_theta_lengths",
-    "unresolved_pair",
-    "valid_triples",
-    "validate_params",
-]
+__all__ = sorted(
+    {name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    | _NETWORK_NAMES
+)
 
 
 def __getattr__(name: str):

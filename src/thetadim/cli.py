@@ -42,7 +42,7 @@ MAX_ORDER = 2000
 #: closed-form basis, so a class of dimension 2 tests no candidate; it
 #: checks one triple of each mirror pair, deriving the other's record by the
 #: swap.  Its cost grows as about n^4: ``sweep --max-n 40`` with the JSON
-#: report takes about 0.7 s at a 42 MB peak RSS (2-CPU x86-64 host, CPython
+#: report takes about 0.5 s at a 42 MB peak RSS (2-CPU x86-64 host, CPython
 #: 3.11, no bytecode cached).
 MAX_SWEEP_N = 40
 

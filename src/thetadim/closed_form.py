@@ -13,8 +13,10 @@ outer swap, since ``C_{p,q,r}`` and ``C_{r,q,p}`` are isomorphic):
 Each family splits into parts on q - r, giving 15 tags total.  One branch
 of ``_case`` states a part as the paper does: a landmark-set formula W, a
 partition of the vertices into index ranges, and per-range distance-vector
-formulas.  The dimension is the size of W: 3 for tags T2-P2 and T4-P1, 2
-for every other part.
+formulas.  The third parts of T1, T2 and T3 share one branch, since the
+paper's three P3 tables agree once T2's p = q is substituted.  The
+dimension is the size of W: 3 for tags T2-P2 and T4-P1, 2 for every other
+part.
 
 The tables are transcribed literally and treated as claims: BFS distances
 are ground truth, and the verification sweep records any divergence as a
@@ -27,25 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .theta import _require_valid, _swap, to_theta_lengths
-
-CASE_TAGS: tuple[str, ...] = (
-    "ZeroPath-P1",
-    "ZeroPath-P2",
-    "T1-P1",
-    "T1-P2",
-    "T1-P3",
-    "T2-P1",
-    "T2-P2",
-    "T2-P3",
-    "T3-P1",
-    "T3-P2",
-    "T3-P3",
-    "T4-P1",
-    "T4-P2",
-    "T4-P3a",
-    "T4-P3b",
-)
-
 
 @dataclass(frozen=True)
 class TheoremCase:
@@ -195,7 +178,8 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
             (p + q + 1 - h, p + q, lambda A: (2 * p + q - A, p + q + 1 - A)),
             (p + q + 1, p + q + r, lambda A: (A + 1 - (p + q), p + q + r + 2 - A)),
         ]
-    if tag in ("T1-P3", "T3-P3"):
+    if tag in ("T1-P3", "T2-P3", "T3-P3"):
+        # the paper's T2-P3 table has p = q, so its k is h and its 3p is 2p + q
         m = _fl(p + r)
         h = _fl(q - r)
         k = _fl(p - r)
@@ -226,19 +210,6 @@ def _case(tag: str, p: int, q: int, r: int) -> tuple[tuple[int, ...], list[_Cell
             (p + 2, p + q - 1, lambda A: (A - p, A + 1 - p, A - (p + 2))),
             (p + q, p + q, lambda A: (A - p, A - (1 + p), A - (p + 2))),
             (p + q + 1, p + q + r, lambda A: (A + 1 - (p + q), A + 2 - (p + q), A + 1 - (p + q))),
-        ]
-    if tag == "T2-P3":
-        m = _fl(p + r)
-        h = _fl(q - r)
-        k = _fl(p - r)
-        return (1, m + 1), [
-            (1, m + 1, lambda A: (A - 1, 1 + m - A)),
-            (m + 2, p + 1 - k, lambda A: (A - 1, A - (1 + m))),
-            (p + 2 - k, p, lambda A: (p + r + 3 - A, A - (1 + m))),
-            (p + 1, p + k, lambda A: (A - p, A + m - p)),
-            (p + 1 + h, p + q - h, lambda A: (A - p, 3 * p - (m + A))),
-            (p + q + 1 - h, p + q, lambda A: (p + q + r + 2 - A, 3 * p - (m + A))),
-            (p + q + 1, p + q + r, lambda A: (A + 1 - (p + q), 2 * p + q + r + 1 - (m + A))),
         ]
     if tag == "T3-P1":
         m = _fl(p + q)

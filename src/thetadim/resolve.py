@@ -104,14 +104,11 @@ def _resolves(vectors: Iterable[tuple[int, ...]], n: int) -> bool:
 
 def _first_collision(landmark_rows: list[tuple[int, ...]]) -> tuple[int, int] | None:
     """Lexicographically first vertex pair sharing a representation, if any."""
-    keyed = sorted(zip(zip(*landmark_rows), itertools.count(1)))
-    best: tuple[int, int] | None = None
-    for (rep_a, a), (rep_b, b) in zip(keyed, keyed[1:]):
-        if rep_a == rep_b:
-            pair = (min(a, b), max(a, b))
-            if best is None or pair < best:
-                best = pair
-    return best
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v, rep in enumerate(zip(*landmark_rows), 1):
+        classes.setdefault(rep, []).append(v)
+    # each class lists its vertices in increasing order
+    return min(((c[0], c[1]) for c in classes.values() if len(c) > 1), default=None)
 
 
 def _landmark_rows(g: Graph, landmarks: list[int] | tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -19,7 +19,6 @@ from thetadim import (
     valid_triples,
 )
 from thetadim import closed_form
-from thetadim.closed_form import CASE_TAGS
 from thetadim.theta import _swap
 
 
@@ -56,15 +55,6 @@ def test_dispatch_equal_everything_goes_to_equal_outers():
 def test_dispatch_rejects_invalid():
     with pytest.raises(InvalidParamsError):
         dispatch_case(0, 2, 5)
-
-
-def test_dispatch_total_and_single_tagged():
-    seen = set()
-    for p, q, r in valid_triples(20):
-        case = dispatch_case(p, q, r)
-        assert case.tag in CASE_TAGS
-        seen.add(case.tag)
-    assert seen == set(CASE_TAGS)
 
 
 def test_basis_equal_arms():
@@ -168,8 +158,12 @@ TAG_REGIONS = {
 }
 
 
+def test_dispatch_total_and_single_tagged():
+    # every triple gets a tag of a stated region, and every region is reached
+    assert {dispatch_case(p, q, r).tag for p, q, r in valid_triples(20)} == TAG_REGIONS.keys()
+
+
 def test_tag_regions_state_the_dispatch():
-    assert sorted(TAG_REGIONS) == sorted(CASE_TAGS)
     for p, q, r in valid_triples(60):
         swapped = swaps_outer_paths(p, q, r)
         params = (r, q, p) if swapped else (p, q, r)

@@ -88,6 +88,18 @@ MUTANTS = [
         ["tests/test_theta.py::test_detect_rejects_degrees_outside_two_and_three"],
     ),
     (
+        "thetadim/closed_form.py",
+        '("T1-P3", "T2-P3", "T3-P3")',
+        '("T1-P3", "T3-P3")',
+        ["tests/test_acceptance.py::test_criterion_5_table_fidelity_per_case"],
+    ),
+    (
+        "thetadim/__init__.py",
+        " and not isinstance(value, types.ModuleType)",
+        "",
+        ["tests/test_package.py::test_every_export_is_defined_by_a_thetadim_module"],
+    ),
+    (
         "thetadim/resolve.py",
         " and sum(degrees) == 2 * n - 2",
         "",

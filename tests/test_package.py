@@ -1,16 +1,31 @@
 """The package namespace: every export resolves, the network names on first use."""
 
 import importlib
+import sys
 
 import pytest
 
 import thetadim
+from thetadim import graphs
 from thetadim import sweep as sweep_function
 
 
 def test_every_export_resolves_by_getattr():
     for name in thetadim.__all__:
         assert hasattr(thetadim, name), name
+
+
+def test_every_export_is_defined_by_a_thetadim_module():
+    # __all__ is read off the package namespace, so a helper that the
+    # package imports from elsewhere would otherwise become an export
+    for name in thetadim.__all__:
+        value = getattr(thetadim, name)
+        if name == "UNREACHABLE":
+            assert value is graphs.UNREACHABLE
+            continue
+        module = getattr(value, "__module__", "")
+        assert module.startswith("thetadim."), (name, module)
+        assert getattr(sys.modules[module], name) is value, name
 
 
 def test_star_import_binds_every_export():

@@ -227,6 +227,18 @@ def test_is_resolving_matches_naive_pairwise(g, data):
 
 @given(small_graphs(max_n=8), st.data())
 @settings(deadline=None, max_examples=60)
+def test_unresolved_pair_is_the_least_colliding_pair(g, data):
+    k = data.draw(st.integers(min_value=1, max_value=g.n))
+    W = tuple(data.draw(st.permutations(range(1, g.n + 1)))[:k])
+    D = all_pairs(g)
+    colliding = [(a, b) for a, b in itertools.combinations(range(1, g.n + 1), 2)
+                 if representation(D, a, W) == representation(D, b, W)]
+    assert unresolved_pair(g, W) == min(colliding, default=None)
+    assert (unresolved_pair(g, W) is None) == is_resolving(g, W)
+
+
+@given(small_graphs(max_n=8), st.data())
+@settings(deadline=None, max_examples=60)
 def test_resolving_supersets_stay_resolving(g, data):
     perm = data.draw(st.permutations(range(1, g.n + 1)))
     k = data.draw(st.integers(min_value=1, max_value=g.n))
