@@ -71,7 +71,6 @@ _NETWORK_NAMES = frozenset({
     "NetworkSpec",
     "assign_landmarks",
     "field_network_text",
-    "format_network",
     "network_graph",
     "parse_network",
 })

@@ -49,9 +49,10 @@ MAX_SWEEP_N = 40
 #: Largest network file ``landmarks`` reads, in bytes.  Parsing and coding a
 #: network take time and memory linear in its file: the command's steps,
 #: run without its limits on a 6.5 MB shuffled theta network of 200,002
-#: nodes, took 3.4 s at a 150 MB peak RSS (2-CPU x86-64 host, CPython 3.11).
-#: A file of this size holds about 32,000 such nodes, and the benchmark's
-#: largest network of 1,500 nodes takes about 45 KB.
+#: nodes named ``v1`` to ``v200002``, took 3.4 s at a 150 MB peak RSS (2-CPU
+#: x86-64 host, CPython 3.11).  A file of this size holds a theta network of
+#: about 34,900 nodes named so (30 bytes a node), or of about 15,700 named as
+#: the benchmark names them (67 bytes a node; its 1,500-node ones take 95 KB).
 MAX_NETWORK_BYTES = 1 << 20
 
 

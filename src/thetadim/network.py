@@ -49,9 +49,9 @@ compile them.
 
 The four spec rules (no duplicate node, no link to an undeclared node, no
 self-link, no repeated link) are stated once, in ``_Declared``.  The explain
-step, ``format_network`` and ``network_graph``'s fault path feed it
-declarations in order, so all three name the same first fault.  The accept
-step's set checks restate the rules in bulk, for well-formed texts only.
+step and ``network_graph``'s fault path feed it declarations in order, so
+both name the same first fault.  The accept step's set checks restate the
+rules in bulk, for well-formed texts only.
 
 Landmark assignment computes a metric basis for the network — through the
 closed-form case formulas when the network is a theta graph, otherwise
@@ -221,10 +221,10 @@ def _accept(text: str) -> NetworkSpec | None:
 
 
 class _Declared:
-    """The spec rules: ``node`` and ``link`` take declarations in order and
-    raise ``ValueError`` naming a duplicate node, a link to an undeclared
-    node, a self-link, or a link repeated in either orientation.
-    ``_Declared(nodes, links)`` declares a whole spec."""
+    """The spec rules, for the explain step and ``_build_graph``'s fault
+    path: ``node`` and ``link`` take declarations in order and raise
+    ``ValueError`` naming a duplicate node, a link to an undeclared node, a
+    self-link, or a repeated link.  ``_Declared(nodes, links)`` declares a spec."""
 
     def __init__(self, nodes: Iterable[str] = (), links: Iterable[tuple[str, str]] = ()):
         self.nodes: dict[str, None] = {}
@@ -284,29 +284,6 @@ def _explain(text: str) -> NetworkSpec:
     return NetworkSpec(nodes=tuple(declared.nodes), links=tuple(declared.links.values()))
 
 
-def format_network(spec: NetworkSpec) -> str:
-    """Render a spec back to network text.
-
-    ``parse_network(format_network(spec)) == spec`` for every spec it
-    accepts.  Raises ``ValueError`` for a spec whose text ``parse_network``
-    would reject: a node name that text cannot carry (empty, or holding a
-    line break), a duplicate node, a link to an undeclared node, a self-link,
-    or a duplicate link in either orientation.
-    """
-    declared = _Declared()
-    for name in spec.nodes:
-        if name.splitlines() != [name]:
-            raise ValueError(f"node name {name!r} is empty or holds a line break")
-        declared.node(name)
-    for a, b in spec.links:
-        declared.link(a, b)
-    import shlex  # only writing network text quotes names; parsing never needs shlex
-
-    lines = [f"node {shlex.quote(name)}" for name in spec.nodes]
-    lines.extend(f"link {shlex.quote(a)} {shlex.quote(b)}" for a, b in spec.links)
-    return "\n".join(lines) + "\n"
-
-
 _DISCONNECTED = "network graph is disconnected"
 
 
@@ -314,8 +291,8 @@ def network_graph(spec: NetworkSpec) -> Graph:
     """Labelled graph of the network (node i of the declaration order is
     vertex i).  Raises ``ValueError`` when the network declares no node or
     a node twice, links an undeclared node or a node to itself, repeats a
-    link in either orientation, or is disconnected; a bad node or link gets
-    the message ``format_network`` gives it."""
+    link in either orientation, or is disconnected; ``_Declared`` names a
+    bad node or link, as it does for ``parse_network``."""
     g = _build_graph(spec)
     if not g.is_connected():
         raise ValueError(_DISCONNECTED)

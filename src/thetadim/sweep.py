@@ -54,12 +54,11 @@ Each report dataclass has one JSON writer, a single f-string compiled on the
 first report from the class's fields, and each CSV row is written by one
 function compiled from the CSV columns, so both field lists keep one source.
 An array of ints is written once per distinct value and depth within one
-report; no text is kept from one report to the next.  Per-record
-wall-clock times are kept in memory for diagnostics but excluded from both
-serialization and equality, so identical ranges produce byte-identical
-reports.  The standard library's ``json``, ``csv`` and ``io`` are imported
-by the code that writes a report, so importing the package does not
-load them.
+report; no text is kept from one report to the next.  Every field of a
+report dataclass is serialized, and a record holds no clock reading, so
+identical ranges produce byte-identical reports.  The standard library's
+``json``, ``csv`` and ``io`` are imported by the code that writes a report,
+so importing the package does not load them.
 """
 
 from __future__ import annotations
@@ -67,11 +66,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import time
 import types
 import typing
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .closed_form import _closed_form
 from .graphs import Graph, _Memo
@@ -97,18 +95,7 @@ class TableMismatch:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Outcome of all checks for one (p, q, r) triple.
-
-    ``elapsed`` is the wall time of the checks.  The first triple of an
-    isomorphism class in a sweep also pays for the class graph and for the
-    search that settles the dimension, which later triples of the class
-    reuse; a checked triple pays for those of its landmarks' BFS rows that
-    the class graph has not computed yet.  The mirror ``(r, q, p)``, p > r,
-    of a checked triple pays only for mapping that triple's fields by the
-    swap.  The time is taken as the constructor's keyword argument, before
-    the constructor runs, so no record's time includes building the record
-    itself.
-    """
+    """Outcome of all checks for one (p, q, r) triple."""
 
     p: int
     q: int
@@ -122,7 +109,6 @@ class SweepRecord:
     basis_ok: bool
     basis_minimal: bool
     table_mismatches: tuple[TableMismatch, ...]
-    elapsed: float = field(default=0.0, compare=False)
 
     @property
     def dims_agree(self) -> bool:
@@ -195,10 +181,7 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
     landmarks is tested for minimality.  A triple reads its own BFS vectors
     from its landmarks' vectors in the class graph, by its class labels, and
     the table diff compares them with the triple's claims as two whole
-    tuples, walking the vertices only when the tuples differ.  The record's
-    ``elapsed`` is taken before the record is built, so it leaves that out.
-    """
-    start = time.perf_counter()
+    tuples, walking the vertices only when the tuples differ."""
     result, claims = _closed_form(p, q, r)
     key, labels = _class_labels(p, q, r)
     n = p + q + r
@@ -247,7 +230,6 @@ def _check(p: int, q: int, r: int, classes: _Classes) -> SweepRecord:
         basis_ok=basis_ok,
         basis_minimal=basis_minimal,
         table_mismatches=tuple(mismatches),
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -261,11 +243,7 @@ def _mirror(record: SweepRecord) -> SweepRecord:
     the case, both dimensions, ``basis_ok`` and ``basis_minimal`` are kept;
     p and r trade places and ``swapped`` flips; the basis and every
     mismatch's vertex are mapped and sorted again; and each mismatch keeps
-    its claimed and BFS vectors, which its vertex has in both labellings.
-    The record's ``elapsed`` is taken before the record is built, so it
-    times the mapping only.
-    """
-    start = time.perf_counter()
+    its claimed and BFS vectors, which its vertex has in both labellings."""
     swap = functools.partial(_swap, record.p, record.q, record.r)
     mismatches = sorted(
         (TableMismatch(swap(m.vertex), m.formula, m.bfs, m.note) for m in record.table_mismatches),
@@ -284,7 +262,6 @@ def _mirror(record: SweepRecord) -> SweepRecord:
         basis_ok=record.basis_ok,
         basis_minimal=record.basis_minimal,
         table_mismatches=tuple(mismatches),
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -312,9 +289,8 @@ def sweep(max_n: int) -> SweepReport:
 
 
 def _report_fields(cls) -> tuple[str, ...]:
-    """The serialized fields of a report dataclass, in declaration order:
-    every field that takes part in equality (so not ``SweepRecord.elapsed``)."""
-    return tuple(f.name for f in fields(cls) if f.compare)
+    """The serialized fields of a report dataclass: all of them, in declaration order."""
+    return tuple(f.name for f in fields(cls))
 
 
 #: Serialized record fields, in order.
@@ -442,7 +418,7 @@ def _csv_row() -> Callable[[SweepRecord], tuple]:
 
 
 def emit_report(report: SweepReport, fmt: str = "json") -> str:
-    """Serialize a report with stable field ordering (no timing data)."""
+    """Serialize a report with stable field ordering."""
     if fmt == "json":
         from json.encoder import encode_basestring_ascii
 

