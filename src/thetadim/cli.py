@@ -13,7 +13,8 @@ Exit codes: 0 on success, 1 on domain errors (invalid parameters, a
 non-resolving set reported by ``check``, disconnected networks, a graph,
 range, network file or network above its limit, an oracle search over its
 budget), 2 on usage and parse errors and on files that cannot be read or
-written.
+written, standard output included: a write to a closed pipe ends the
+command with one ``error:`` line, not a traceback.
 All structured output is line-oriented and stable, so it can be pinned by
 golden-file tests.
 """
@@ -21,7 +22,6 @@ golden-file tests.
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import sys
 
@@ -144,34 +144,23 @@ def _cmd_check(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.max_n > MAX_SWEEP_N:
         raise ValueError(f"max_n {args.max_n} exceeds the sweep limit {MAX_SWEEP_N}")
-    try:
-        # The report file is opened before the sweep runs, so a bad path
-        # fails at once.
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            fh.write(emit_report(sweep(args.max_n), fmt=args.format))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # The report file is opened before the sweep runs, so a bad path fails at once.
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(emit_report(sweep(args.max_n), fmt=args.format))
     return 0
 
 
 def _cmd_landmarks(args) -> int:
-    try:
-        with open(args.file, "rb") as fh:
-            data = fh.read(MAX_NETWORK_BYTES + 1)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.file, "rb") as fh:
+        data = fh.read(MAX_NETWORK_BYTES + 1)
     if len(data) > MAX_NETWORK_BYTES:
         raise ValueError(f"network file {args.file} exceeds the size limit {MAX_NETWORK_BYTES} bytes")
     # The bytes are decoded without newline translation: the parser ends
     # lines at every str.splitlines boundary, "\r" and "\r\n" included.
     try:
-        text = data.decode("utf-8-sig")  # drops a leading byte-order mark
+        text = data.decode("utf-8").removeprefix("\ufeff")  # drops a leading byte-order mark
     except UnicodeDecodeError as exc:
-        # The decoder counts from after the byte-order mark; the message gives the file offset.
-        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
-        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {offset})", file=sys.stderr)
+        print(f"error: {args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})", file=sys.stderr)
         return 2
     from .network import NetworkParseError, assign_landmarks, parse_network  # only this command parses a network
 
@@ -198,6 +187,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -57,9 +57,10 @@ class ThetaShape:
 def validate_params(p: int, q: int, r: int) -> str | None:
     """Return None when (p, q, r) is valid, else a description of the violation.
 
-    Validity requires q >= 2, at most one of {p = 0, q = 2, r = 0} (two or
-    more would duplicate the hub-hub edge, i.e. a multigraph), and total
-    order p + q + r >= 4.
+    Validity requires q >= 2 and at most one of {p = 0, q = 2, r = 0} (two
+    or more would duplicate the hub-hub edge, i.e. a multigraph).  The order
+    p + q + r is then at least 4: q = 2 leaves p, r >= 1, and q >= 3 leaves
+    p + r >= 1.
     """
     if p < 0 or q < 0 or r < 0:
         return f"negative path count in ({p}, {q}, {r})"
@@ -71,8 +72,6 @@ def validate_params(p: int, q: int, r: int) -> str | None:
             f"({p}, {q}, {r}) collapses two hub-to-hub paths onto the same "
             "edge (multigraph)"
         )
-    if p + q + r < 4:
-        return f"total vertex count {p + q + r} below the minimum of 4"
     return None
 
 

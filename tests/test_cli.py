@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -317,6 +318,32 @@ def test_cli_start_up_loads_neither_the_network_parser_nor_the_report_writers():
     proc = subprocess.run([sys.executable, "-c", check, str(field)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("method\tclosed-form (T3-P1)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "900", "900", "100"),
+    ("dim", "3", "7", "3"),
+    ("basis", "3", "7", "3"),
+    ("check", "3", "7", "3", "--set", "1,2,6"),
+    ("landmarks", str(Path(cli.__file__).parent / "data" / "field_network.txt")),
+    ("sweep", "--max-n", "9"),
+], ids=lambda argv: argv[0])
+def test_every_command_exits_two_into_a_closed_pipe(argv):
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails.  -u hands every print to the pipe while the command runs;
+    # block-buffered, a few bytes would reach it only at interpreter exit,
+    # after main has returned (ROADMAP, "Small open points").
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    try:
+        proc = subprocess.run([sys.executable, "-u", "-m", "thetadim.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"error: [^\n]*Broken pipe\n", proc.stderr), proc.stderr
 
 
 @pytest.fixture

@@ -122,7 +122,8 @@ MUTANTS = [
         '_DOUBLE_ESCAPE.sub(r"\\1", double) if "\\\\" in double else double',
         "double",
         ["tests/test_network.py::test_split_line_rules"],
-    ),    (
+    ),
+    (
         "thetadim/network.py",
         "or len(linked) != len(a)",
         "or False",
@@ -133,6 +134,13 @@ MUTANTS = [
         "if not args[0]:",
         "if False:",
         ["tests/test_network.py::test_parse_rejects_malformed[node ''\\n]"],
+    ),
+    (
+        "thetadim/cli.py",
+        'except OSError as exc:\n        print(f"error: {exc}", file=sys.stderr)\n        return 2\n    ',
+        "",
+        ["tests/test_cli.py::test_every_command_exits_two_into_a_closed_pipe",
+         "tests/test_cli.py::test_landmarks_missing_file_exit_two"],
     ),
 ]
 

@@ -2,6 +2,7 @@
 shape detection."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -41,7 +42,20 @@ def test_validate_rejects_both_outers_empty():
 
 
 def test_validate_rejects_tiny_order():
-    assert validate_params(1, 2, 0) is not None
+    # (1, 2, 0) has q = 2 and r = 0, so the multigraph rule refuses it.
+    assert validate_params(1, 2, 0) == "(1, 2, 0) collapses two hub-to-hub paths onto the same edge (multigraph)"
+
+
+def test_validate_rejects_negative_counts():
+    assert validate_params(-1, 3, 2) == "negative path count in (-1, 3, 2)"
+
+
+def test_every_accepted_triple_has_order_at_least_four():
+    grid = itertools.product(range(9), range(11), range(9))
+    assert min(sum(t) for t in grid if validate_params(*t) is None) == 4
+    grid = itertools.product(range(13), repeat=3)
+    accepted = [t for t in grid if sum(t) <= 12 and validate_params(*t) is None]
+    assert sorted(valid_triples(12)) == sorted(accepted)
 
 
 def test_build_equal_arms_instance():
@@ -261,6 +275,7 @@ def test_detect_round_trips_exhaustively():
         assert shape is not None, (p, q, r)
         params = shape.params
         assert validate_params(params.p, params.q, params.r) is None
+        assert params.n == g.n
         # labels carry the canonical build exactly onto the shuffled graph
         canon = build_c(params.p, params.q, params.r)
         assert relabel(canon, dict(enumerate(shape.labels, start=1))).edges == shuffled.edges
